@@ -49,6 +49,7 @@ from .partitions import (
 )
 from .transfer import (
     DifferencePropertyViolation,
+    TooFewInhomogeneities,
     TransferSpec,
     dual_groth_poly,
     generalized_poly,

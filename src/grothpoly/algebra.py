@@ -174,9 +174,6 @@ class MultiPoly:
                 out.add(v)
         return out
 
-    def total_degree(self) -> int:
-        return max((m.degree() for m in self.terms), default=0)
-
     def degree_in(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         if not self.terms:
@@ -698,6 +695,8 @@ class RationalFunction:
     # -- mappings -------------------------------------------------------------
     def substitute(self, bindings: dict) -> "RationalFunction":
         """Simultaneous substitution of rational functions for variables."""
+        if not any(v in bindings for v in self.num.variables() | self.den.variables()):
+            return self
         num = self.num.substitute(bindings)
         den = self.den.substitute(bindings)
         if den.is_zero():
@@ -763,18 +762,6 @@ def as_rf(v) -> RationalFunction:
 
 ALPHA = RationalFunction.var("a")
 BETA = RationalFunction.var("b")
-
-
-def xvar(i: int) -> RationalFunction:
-    return RationalFunction.var(f"x{i}")
-
-
-def yvar(i: int) -> RationalFunction:
-    return RationalFunction.var(f"y{i}")
-
-
-def zvar(i: int) -> RationalFunction:
-    return RationalFunction.var(f"z{i}")
 
 
 # ---------------------------------------------------------------------------

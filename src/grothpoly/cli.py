@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from .identities import SUITES, run_suite
 from .models import WeightModel, vertex_weight
 from .partitions import check_partition
 from .transfer import (
+    TooFewInhomogeneities,
     dual_groth_poly,
     generalized_poly,
     groth_poly,
@@ -54,45 +56,63 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"not an exact rational: {text!r}") from exc
 
 
+# Flags each kind reads besides --lambda and --nvars; any other flag given
+# explicitly is a usage error.  Any kind given --z, and the inherently
+# inhomogeneous kinds J, s_r, s_c, are computed by generalized_poly.
+_READS = {
+    "G": ("encoding", "route", "alpha", "beta"),
+    "g": ("encoding", "alpha", "beta"),
+    "j": ("route", "alpha", "beta"),
+}
+_READS_WITH_Z = {
+    **{kind: ("alpha", "z") for kind in ("G", "g", "j", "J")},
+    "s_r": ("z",),
+    "s_c": ("z",),
+}
+
+# (kind, route) -> constructor(lam, n, encoding, alpha=..., beta=...)
+_HOMOGENEOUS = {
+    ("G", "direct"): lambda lam, n, enc, **ab: groth_poly(lam, n, encoding=enc, **ab),
+    ("G", "dual"): lambda lam, n, enc, **ab: groth_poly_dual_route(lam, n, **ab),
+    ("g", "direct"): lambda lam, n, enc, **ab: as_rf(dual_groth_poly(lam, n, encoding=enc, **ab)),
+    ("j", "direct"): lambda lam, n, enc, **ab: as_rf(j_poly(lam, n, route="direct", **ab)),
+    ("j", "dual"): lambda lam, n, enc, **ab: as_rf(j_poly(lam, n, route="dual", **ab)),
+}
+
+
 def _compute_value(args) -> RationalFunction:
     lam = _parse_partition(args.lam)
     n = args.nvars
     if n < 0:
         raise UsageError("--nvars must be nonnegative")
-    if args.z is not None and args.kind in ("G", "g", "j", "J", "s_r", "s_c"):
-        zspec = None if args.z == "formal" else [
-            as_rf(_parse_rational(t)) for t in args.z.split(",")
-        ]
-        alpha = _parse_rational(args.alpha) if args.alpha is not None else 1
-        return generalized_poly(args.kind, lam, n, z=zspec, alpha=alpha)
-    if args.kind in ("s_r", "s_c", "J"):
+    with_z = args.z is not None or args.kind not in _READS
+    reads = _READS_WITH_Z[args.kind] if with_z else _READS[args.kind]
+    for flag in ("encoding", "route", "alpha", "beta", "z"):
+        if getattr(args, flag) is not None and flag not in reads:
+            where = f"--kind {args.kind}" + (" with --z" if args.kind in _READS else "")
+            raise UsageError(f"--{flag} has no effect for {where}")
+    if args.route == "dual" and args.encoding == "column":
+        raise UsageError("--route dual uses the row encoding; drop --encoding column")
+    alpha = None if args.alpha is None else _parse_rational(args.alpha)
+    beta = None if args.beta is None else _parse_rational(args.beta)
+    if not with_z:
+        build = _HOMOGENEOUS[(args.kind, args.route or "direct")]
+        return build(lam, n, args.encoding or "row", alpha=alpha, beta=beta)
+    if args.z is None:
         # inherently inhomogeneous kinds default to all z_j = 1
-        alpha = _parse_rational(args.alpha) if args.alpha is not None else 1
-        needed = max(len(lam), lam[0] if lam else 0, 1)
-        return generalized_poly(args.kind, lam, n, z=[as_rf(1)] * needed, alpha=alpha)
-    if args.kind == "G":
-        if args.route == "dual":
-            val = groth_poly_dual_route(lam, n)
-        else:
-            val = groth_poly(lam, n, encoding=args.encoding)
-    elif args.kind == "g":
-        val = as_rf(dual_groth_poly(lam, n, encoding=args.encoding))
-    elif args.kind == "j":
-        val = as_rf(j_poly(lam, n, route=args.route))
+        z = [1] * max(len(lam), lam[0] if lam else 0, 1)
+    elif args.z == "formal":
+        z = None
     else:
-        raise UsageError(f"unknown kind {args.kind!r}")
-    subs = {}
-    if args.alpha is not None:
-        subs["a"] = as_rf(_parse_rational(args.alpha))
-    if args.beta is not None:
-        subs["b"] = as_rf(_parse_rational(args.beta))
-    if subs:
-        val = val.substitute(subs)
-    return val
+        z = [_parse_rational(t) for t in args.z.split(",")]
+    return generalized_poly(args.kind, lam, n, z=z, alpha=1 if alpha is None else alpha)
 
 
 def _cmd_compute(args, out) -> int:
-    val = _compute_value(args)
+    try:
+        val = _compute_value(args)
+    except (ZeroDivisionError, TooFewInhomogeneities) as exc:
+        raise UsageError(f"cannot compute at the given values: {exc}") from exc
     if args.format == "plain":
         out.write(rf_to_str(val) + "\n")
     elif args.format == "latex":
@@ -102,7 +122,15 @@ def _cmd_compute(args, out) -> int:
     return 0
 
 
+_BOUNDS = ("aux_max", "phys_max", "max_label", "occ_max", "degree_bound")
+
+
 def _cmd_verify(args, out) -> int:
+    for name in _BOUNDS:
+        if getattr(args, name) < 0:
+            raise UsageError(f"--{name.replace('_', '-')} must be nonnegative")
+    if args.sites < 1:
+        raise UsageError("--sites must be at least 1")
     suites = args.suite.split(",") if args.suite else ["all"]
     reports = []
     for suite in suites:
@@ -119,6 +147,9 @@ def _cmd_verify(args, out) -> int:
                 degree_bound=args.degree_bound,
             )
         )
+    empty = [rep.name for rep in reports if rep.parameters.get("cases") == 0]
+    if empty:
+        raise UsageError(f"no cases to check at these bounds: {', '.join(empty)}")
     failed = 0
     for rep in reports:
         out.write(json.dumps(rep.to_dict(), sort_keys=True) + "\n")
@@ -176,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--kind", required=True, choices=_KINDS)
     pc.add_argument("--lambda", dest="lam", default="", help="comma-separated parts; empty = empty partition")
     pc.add_argument("--nvars", type=int, required=True)
-    pc.add_argument("--encoding", choices=("row", "column"), default="row")
-    pc.add_argument("--route", choices=("direct", "dual"), default="direct")
+    pc.add_argument("--encoding", choices=("row", "column"), default=None, help="G, g: row (default) or column model")
+    pc.add_argument("--route", choices=("direct", "dual"), default=None, help="G, j: direct (default) or dual tile set")
     pc.add_argument("--alpha", default=None, help="exact rational specialization of alpha")
     pc.add_argument("--beta", default=None, help="exact rational specialization of beta")
     pc.add_argument("--z", default=None, help="'formal' or comma-separated exact rationals")
@@ -199,8 +230,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv):
+    """Rewrite "--alpha -1/3" as "--alpha=-1/3" (likewise --beta, --z):
+    argparse would read a value like -1/3 or -1,2 as an unknown flag."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--alpha", "--beta", "--z") and re.match(r"-[\d.]", tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -29,20 +29,20 @@ from .algebra import (
 def gcd_free_atoms(polys) -> list[MultiPoly]:
     """Pairwise-coprime primitive factors covering the given polynomials."""
     basis: list[MultiPoly] = []
-    queue = [p for p in polys if not p.is_constant()]
+    queue = list(dict.fromkeys(p for p in polys if not p.is_constant()))
     while queue:
         q = _make_primitive(queue.pop())
         if q.is_constant():
             continue
         for i, atom in enumerate(basis):
+            # powers of one atom are the common case: no gcd needed for them
+            rest = poly_try_div(q, atom)
+            if rest is not None:
+                queue.append(rest)
+                break
             g = poly_gcd(q, atom)
             if g.is_constant():
                 continue
-            if g == atom:
-                rest = poly_try_div(q, atom)
-                if rest is not None:
-                    queue.append(rest)
-                    break
             # proper common factor: split the existing atom
             basis[i] = g
             cof = poly_try_div(atom, g)
@@ -61,8 +61,12 @@ def gcd_free_atoms(polys) -> list[MultiPoly]:
 class FactorRegistry:
     """Fixed list of irreducible denominator atoms for one computation."""
 
-    def __init__(self, seeds=()):
-        self.atoms: list[MultiPoly] = gcd_free_atoms(list(seeds))
+    def __init__(self, seeds=(), *, atoms=None):
+        """Atoms covering the seed denominators; or the given atoms as they
+        are, when the caller knows them to be irreducible and coprime."""
+        if atoms is None:
+            atoms = gcd_free_atoms(list(seeds))
+        self.atoms: list[MultiPoly] = list(atoms)
 
     def factor(self, den: MultiPoly):
         """Split den into atom powers; the leftover must be constant."""
@@ -129,9 +133,6 @@ class FFrac:
             self.num * other.num,
             tuple(p + q for p, q in zip(self.powers, other.powers)),
         )
-
-    def mul_poly(self, p: MultiPoly) -> "FFrac":
-        return FFrac(self.reg, self.num * p, self.powers)
 
     def __add__(self, other: "FFrac") -> "FFrac":
         if self.num.is_zero():

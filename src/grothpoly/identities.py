@@ -41,6 +41,7 @@ from .transfer import (
     generalized_poly,
     groth_poly,
     row_configuration_weight,
+    scan_row,
     skew_dual_groth_poly,
     skew_groth_poly,
 )
@@ -82,27 +83,23 @@ def _occupancies(sites: int, occ_max: int):
 _PROBE_RANGE = 4
 
 
-def _probe_registry(weight_fns, entry_fns) -> FactorRegistry:
-    """Factor basis covering every denominator the given tables can produce
-    (small labels hit every case branch; powers reuse the same atoms)."""
+def _probe_registry(fns) -> FactorRegistry:
+    """Factor basis covering every denominator the given label functions
+    (weights or R-matrix entries) can produce: small labels hit every case
+    branch, and powers reuse the same atoms."""
     dens = []
-    for fn in weight_fns:
+    for fn in fns:
         for labels in product(range(_PROBE_RANGE), repeat=4):
             try:
-                w = fn(*labels)
+                dens.append(fn(*labels).den)
             except LabelOutOfRange:
                 continue
-            if not w.is_zero() and not w.den.is_constant():
-                dens.append(w.den)
-    for fn in entry_fns:
-        for labels in product(range(_PROBE_RANGE), repeat=4):
-            try:
-                w = fn(*labels)
-            except LabelOutOfRange:
-                continue
-            if not w.is_zero() and not w.den.is_constant():
-                dens.append(w.den)
     return FactorRegistry(dens)
+
+
+def _site_weights(spec: TransferSpec, spectrals):
+    """Label functions for the spec's weights at each spectral parameter."""
+    return [lambda a, b, c, d, x=x: spec.weight(0, a, b, c, d, x) for x in spectrals]
 
 
 def _cached_ffrac(reg, fn):
@@ -122,39 +119,14 @@ def _cached_ffrac(reg, fn):
     return get
 
 
-def _row_scanner(reg, model, spectrals, boundary, fermionic, subs=None):
+def _row_scanner(reg, spec: TransferSpec, spectrals):
     """Single-row configuration weight over a factor registry, with a shared
     per-site vertex cache; bottom/top are occupancy tuples."""
-    vcache: dict = {}
-
-    def vertex(i, a, b, c, d):
-        key = (i, a, b, c, d)
-        got = vcache.get(key)
-        if got is None:
-            w = vertex_weight(model, a, b, c, d, spectrals[i])
-            if subs and not w.is_zero():
-                w = w.substitute(subs)
-            got = reg.from_rf(w) if not w.is_zero() else reg.zero()
-            vcache[key] = got
-        return got
-
-    nsites = len(spectrals)
+    vertex = _cached_ffrac(reg, lambda i, a, b, c, d: spec.weight(i, a, b, c, d, spectrals[i]))
 
     def row(bottom, top):
-        c = boundary
-        out = reg.one()
-        for i in range(nsites - 1, -1, -1):
-            b = bottom[i] if i < len(bottom) else 0
-            d = top[i] if i < len(top) else 0
-            a = c + d - b
-            if a < 0 or (fermionic and a > 1):
-                return reg.zero()
-            w = vertex(i, a, b, c, d)
-            if w.is_zero():
-                return reg.zero()
-            out = out * w
-            c = a
-        return out
+        w = scan_row(spec, bottom, top, len(spectrals), vertex, reg.one())
+        return reg.zero() if w is None else w
 
     return row
 
@@ -237,7 +209,7 @@ def check_rll(pair: str, aux_max: int = 3, phys_max: int = 4) -> CheckReport:
     def raw_r(a, b, c, d):
         return rmatrix_entry(cfg.rfam, a, b, c, d, _X, _Y)
 
-    reg = _probe_registry([raw_wx, raw_wy], [raw_r])
+    reg = _probe_registry([raw_wx, raw_wy, raw_r])
     wx = _cached_ffrac(reg, raw_wx)
     wy = _cached_ffrac(reg, raw_wy)
     rmat = _cached_ffrac(reg, raw_r)
@@ -354,6 +326,7 @@ def check_eigenvector(family, max_label: int = 5) -> CheckReport:
                 "rhs": "1",
             }
             return report
+    report.parameters["cases"] = len(out_tops) * len(out_bots)
     return report
 
 
@@ -368,14 +341,16 @@ def check_unitary(max_label: int = 4) -> CheckReport:
     def second(a, b, c, d):
         return rmatrix_entry(fam, a, b, c, d, _Y, _X)
 
-    reg = _probe_registry([], [first, second])
+    reg = _probe_registry([first, second])
     f1 = _cached_ffrac(reg, first)
     f2 = _cached_ffrac(reg, second)
     report = CheckReport(name="unitary/col-G-R", parameters={"max_label": max_label})
     rng = range(max_label + 1)
+    cases = 0
     for a, a2, bt, bb in product(rng, rng, rng, rng):
         if a + a2 != bt + bb:
             continue
+        cases += 1
         total = reg.zero()
         for t in range(a + a2 + 1):
             u = a + a2 - t
@@ -394,6 +369,7 @@ def check_unitary(max_label: int = 4) -> CheckReport:
                 "rhs": "1" if (bt, bb) == (a, a2) else "0",
             }
             return report
+    report.parameters["cases"] = cases
     return report
 
 
@@ -402,118 +378,74 @@ def check_unitary(max_label: int = 4) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _probe_model_registry(model_spectral_subs) -> FactorRegistry:
-    dens = []
-    for model, spectrals, subs in model_spectral_subs:
-        for x in spectrals:
-            for labels in product(range(_PROBE_RANGE), repeat=4):
-                try:
-                    w = vertex_weight(model, *labels, x)
-                except LabelOutOfRange:
-                    continue
-                if subs and not w.is_zero():
-                    w = w.substitute(subs)
-                if not w.is_zero() and not w.den.is_constant():
-                    dens.append(w.den)
-    return FactorRegistry(dens)
-
-
 def _fermionic_mid_range(v_i):
     return range(max(0, v_i - 1), v_i + 2)
+
+
+def _check_inversion(name, sites, occ_max, first, second) -> CheckReport:
+    """The fermionic-row transfer matrix first = (spec, per-site spectral
+    parameters) composed with the column transfer matrix second acts as the
+    identity on every pair of occupancies up to occ_max."""
+    reg = _probe_registry(_site_weights(*first) + _site_weights(*second))
+    row1 = _row_scanner(reg, *first)
+    row2 = _row_scanner(reg, *second)
+    report = CheckReport(name=name, parameters={"sites": sites, "occ_max": occ_max})
+    occs = _occupancies(sites, occ_max)
+    row2_cache: dict = {}
+    for v in occs:
+        rows1 = {}
+        for w in product(*(_fermionic_mid_range(vi) for vi in v)):
+            r1 = row1(v, w)
+            if not r1.is_zero():
+                rows1[w] = r1
+        for u in occs:
+            total = reg.zero()
+            for w, r1 in rows1.items():
+                r2 = row2_cache.get((w, u))
+                if r2 is None:
+                    r2 = row2_cache[(w, u)] = row2(w, u)
+                if not r2.is_zero():
+                    total = total + r1 * r2
+            expected = reg.one() if u == v else reg.zero()
+            if not (total - expected).is_zero():
+                report.passed = False
+                report.counterexample = {
+                    "labels": {"bottom": list(v), "top": list(u)},
+                    "lhs": rf_to_str(total.to_rf()),
+                    "rhs": "1" if u == v else "0",
+                }
+                return report
+    report.parameters["cases"] = len(occs) ** 2
+    return report
+
+
+def _inhomogeneities(sites: int, with_z: bool):
+    if with_z:
+        return [RationalFunction.var(f"z{j}") for j in range(1, sites + 1)]
+    return [ONE] * sites
 
 
 def check_inversion_G(sites: int = 3, occ_max: int = 3, with_z: bool = True) -> CheckReport:
     """Row G-transfer at -x composed with the column G-transfer at the
     reparameterized argument x/(1 + (alpha-beta) x) acts as the identity."""
-    x = _X
-    if with_z:
-        zs = [RationalFunction.var(f"z{j}") for j in range(1, sites + 1)]
-    else:
-        zs = [ONE] * sites
-    spectrals1 = [-x / z for z in zs]
-    # x/(1+(alpha-beta)x) per site with its inhomogeneity z_j folded in
-    spectrals2 = [x / (z + (ALPHA - BETA) * x) for z in zs]
-    reg = _probe_model_registry(
-        [(WeightModel.ROW_G, spectrals1, None), (WeightModel.COL_G, spectrals2, None)]
+    zs = _inhomogeneities(sites, with_z)
+    return _check_inversion(
+        "inversion/groth-" + ("with-z" if with_z else "homogeneous"), sites, occ_max,
+        (TransferSpec(WeightModel.ROW_G), [-_X / z for z in zs]),
+        # x/(1+(alpha-beta)x) per site with its inhomogeneity z_j folded in
+        (TransferSpec(WeightModel.COL_G), [_X / (z + (ALPHA - BETA) * _X) for z in zs]),
     )
-    row1 = _row_scanner(reg, WeightModel.ROW_G, spectrals1, 0, True)
-    row2 = _row_scanner(reg, WeightModel.COL_G, spectrals2, 0, False)
-    name = "inversion/groth-" + ("with-z" if with_z else "homogeneous")
-    report = CheckReport(name=name, parameters={"sites": sites, "occ_max": occ_max})
-    occs = _occupancies(sites, occ_max)
-    row2_cache: dict = {}
-    for v in occs:
-        rows1 = {}
-        for w in product(*(_fermionic_mid_range(vi) for vi in v)):
-            r1 = row1(v, w)
-            if not r1.is_zero():
-                rows1[w] = r1
-        for u in occs:
-            total = reg.zero()
-            for w, r1 in rows1.items():
-                r2 = row2_cache.get((w, u))
-                if r2 is None:
-                    r2 = row2(w, u)
-                    row2_cache[(w, u)] = r2
-                if not r2.is_zero():
-                    total = total + r1 * r2
-            expected = reg.one() if u == v else reg.zero()
-            if not (total - expected).is_zero():
-                report.passed = False
-                report.counterexample = {
-                    "labels": {"bottom": list(v), "top": list(u)},
-                    "lhs": rf_to_str(total.to_rf()),
-                    "rhs": "1" if u == v else "0",
-                }
-                return report
-    return report
 
 
 def check_inversion_dual(sites: int = 3, occ_max: int = 3, with_z: bool = True) -> CheckReport:
     """Fermionic-row transfer at -x composed with the column dual-g transfer
     specialized to (alpha, beta) = (0, 1) acts as the identity."""
-    x = _X
-    if with_z:
-        zs = [RationalFunction.var(f"z{j}") for j in range(1, sites + 1)]
-    else:
-        zs = [ONE] * sites
-    spectrals1 = [-x / z for z in zs]
-    spectrals2 = [x / z for z in zs]
-    subs2 = {"a": RationalFunction.const(0), "b": ONE}
-    reg = _probe_model_registry(
-        [(WeightModel.J_ROW, spectrals1, None), (WeightModel.COL_DUAL_G, spectrals2, subs2)]
+    zs = _inhomogeneities(sites, with_z)
+    return _check_inversion(
+        "inversion/dual-" + ("with-z" if with_z else "homogeneous"), sites, occ_max,
+        (TransferSpec(WeightModel.J_ROW), [-_X / z for z in zs]),
+        (TransferSpec(WeightModel.COL_DUAL_G, specialize=(("a", ZERO), ("b", ONE))), [_X / z for z in zs]),
     )
-    row1 = _row_scanner(reg, WeightModel.J_ROW, spectrals1, 0, True)
-    row2 = _row_scanner(reg, WeightModel.COL_DUAL_G, spectrals2, 0, False, subs=subs2)
-    name = "inversion/dual-" + ("with-z" if with_z else "homogeneous")
-    report = CheckReport(name=name, parameters={"sites": sites, "occ_max": occ_max})
-    occs = _occupancies(sites, occ_max)
-    row2_cache: dict = {}
-    for v in occs:
-        rows1 = {}
-        for w in product(*(_fermionic_mid_range(vi) for vi in v)):
-            r1 = row1(v, w)
-            if not r1.is_zero():
-                rows1[w] = r1
-        for u in occs:
-            total = reg.zero()
-            for w, r1 in rows1.items():
-                r2 = row2_cache.get((w, u))
-                if r2 is None:
-                    r2 = row2(w, u)
-                    row2_cache[(w, u)] = r2
-                if not r2.is_zero():
-                    total = total + r1 * r2
-            expected = reg.one() if u == v else reg.zero()
-            if not (total - expected).is_zero():
-                report.passed = False
-                report.counterexample = {
-                    "labels": {"bottom": list(v), "top": list(u)},
-                    "lhs": rf_to_str(total.to_rf()),
-                    "rhs": "1" if u == v else "0",
-                }
-                return report
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +453,10 @@ def check_inversion_dual(sites: int = 3, occ_max: int = 3, with_z: bool = True) 
 # ---------------------------------------------------------------------------
 
 _COMM_MODELS = {
-    "TT": (WeightModel.ROW_G, True),
-    "tt": (WeightModel.ROW_DUAL_G, False),
-    "TtildeTtilde": (WeightModel.COL_G, False),
-    "ttildettilde": (WeightModel.COL_DUAL_G, False),
+    "TT": WeightModel.ROW_G,
+    "tt": WeightModel.ROW_DUAL_G,
+    "TtildeTtilde": WeightModel.COL_G,
+    "ttildettilde": WeightModel.COL_DUAL_G,
 }
 
 
@@ -539,16 +471,14 @@ def check_commutation(kind: str, sites: int = 2, occ_max: int = 2, degree_bound:
     """
     if kind == "mixed":
         return _check_commutation_mixed(sites, occ_max, degree_bound)
-    model, fermionic = _COMM_MODELS[kind]
-    specx = [_X] * sites
-    specy = [_Y] * sites
-    reg = _probe_model_registry([(model, [_X, _Y], None)])
-    rowx = _row_scanner(reg, model, specx, 0, fermionic)
-    rowy = _row_scanner(reg, model, specy, 0, fermionic)
+    spec = TransferSpec(_COMM_MODELS[kind])
+    reg = _probe_registry(_site_weights(spec, [_X, _Y]))
+    rowx = _row_scanner(reg, spec, [_X] * sites)
+    rowy = _row_scanner(reg, spec, [_Y] * sites)
     report = CheckReport(name=f"commutation/{kind}", parameters={"sites": sites, "occ_max": occ_max})
     occs = _occupancies(sites, occ_max)
     for v, u in product(occs, occs):
-        if fermionic:
+        if spec.fermionic:
             wcands = [
                 w
                 for w in product(*(_fermionic_mid_range(vi) for vi in v))
@@ -578,11 +508,8 @@ def check_commutation(kind: str, sites: int = 2, occ_max: int = 2, degree_bound:
                 "rhs": rf_to_str(rhs.to_rf()),
             }
             return report
+    report.parameters["cases"] = len(occs) ** 2
     return report
-
-
-def _boxes(occ) -> int:
-    return sum((i + 1) * m for i, m in enumerate(occ))
 
 
 def _dominates(w, v) -> bool:
@@ -604,29 +531,20 @@ def _check_commutation_mixed(sites: int, occ_max: int, degree_bound: int) -> Che
         WeightModel.ROW_G, dual=True, sites=nsites,
         specialize=tuple(sorted(_NEG_AB.items())),
     )
-    tcache: dict = {}
-    Tcache: dict = {}
 
-    def t_series(bottom, top):
-        key = (bottom, top)
-        got = tcache.get(key)
-        if got is None:
-            w = row_configuration_weight(spec_t, bottom, top, _Y)
-            got = None if w.is_zero() else series_from_rf(w, svars, D)
-            tcache[key] = got if got is not None else False
-            return got
-        return None if got is False else got
+    def series_of(spec, x):
+        cache: dict = {}
 
-    def T_series(bottom, top):
-        key = (bottom, top)
-        got = Tcache.get(key)
-        if got is None:
-            w = row_configuration_weight(spec_T, bottom, top, _X)
-            got = None if w.is_zero() else series_from_rf(w, svars, D)
-            Tcache[key] = got if got is not None else False
-            return got
-        return None if got is False else got
+        def get(bottom, top):
+            if (bottom, top) not in cache:
+                w = row_configuration_weight(spec, bottom, top, x)
+                cache[(bottom, top)] = None if w.is_zero() else series_from_rf(w, svars, D)
+            return cache[(bottom, top)]
 
+        return get
+
+    t_series = series_of(spec_t, _Y)
+    T_series = series_of(spec_T, _X)
     one_minus_xy = TruncatedSeries.from_poly(
         MultiPoly.const(1) - MultiPoly.var("x1") * MultiPoly.var("y1"), svars, D
     )
@@ -696,6 +614,7 @@ def _check_commutation_mixed(sites: int, occ_max: int, degree_bound: int) -> Che
                 **(_first_series_mismatch(lhs, rhs) or {}),
             }
             return report
+    report.parameters["cases"] = len(occs) ** 2
     return report
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import MultiPoly, RationalFunction, as_rf
-from .factored import FactorRegistry
+from .factored import FactorRegistry, FFrac
 from .models import (
     COLUMN_ENCODED_MODELS,
     DUAL_BOUNDARY_MODELS,
@@ -45,10 +45,15 @@ class DifferencePropertyViolation(ValueError):
     """Inhomogeneities requested for a model without the difference property."""
 
 
+class TooFewInhomogeneities(ValueError):
+    """Fewer inhomogeneities given than the shape has vertical lines."""
+
+
 @dataclass(frozen=True)
 class TransferSpec:
     """One transfer matrix: weight family, tile set, site count, and optional
-    per-site inhomogeneities and alpha/beta substitutions."""
+    per-site inhomogeneities and alpha/beta substitutions.  The dual tile set
+    also reverses a chain step: its factor is <nxt|T*(x)|prev>."""
 
     model: WeightModel
     dual: bool = False
@@ -68,6 +73,10 @@ class TransferSpec:
     def right_boundary(self) -> int:
         return 1 if self.weight_model in DUAL_BOUNDARY_MODELS else 0
 
+    @property
+    def fermionic(self) -> bool:
+        return self.weight_model in FERMIONIC_MODELS
+
     def encode(self, lam, nsites):
         if self.model in COLUMN_ENCODED_MODELS:
             return column_multiplicities(lam, nsites)
@@ -78,35 +87,49 @@ class TransferSpec:
             return len(lam)
         return lam[0] if lam else 0
 
+    def weight(self, site: int, a: int, b: int, c: int, d: int, x) -> RationalFunction:
+        """Vertex weight at one site: spectral parameter x over the site's
+        inhomogeneity, then the alpha/beta substitutions."""
+        if self.inhomogeneities is not None:
+            x = x / as_rf(self.inhomogeneities[site])
+        w = vertex_weight(self.weight_model, a, b, c, d, x)
+        if self.specialize and not w.is_zero():
+            w = w.substitute(dict(self.specialize))
+        return w
 
-def row_configuration_weight(spec: TransferSpec, bottom, top, x) -> RationalFunction:
-    """Weight of the unique single-row configuration with the given bottom
-    and top occupancies; 0 when some label leaves the admissible range."""
-    model = spec.weight_model
-    fermionic = model in FERMIONIC_MODELS
-    nsites = max(len(bottom), len(top), spec.sites or 0)
-    x = as_rf(x)
-    subs = dict(spec.specialize) if spec.specialize else None
-    weight = ONE
+
+def scan_row(spec: TransferSpec, bottom, top, nsites: int, vertex, one):
+    """Product of vertex(site, a, b, c, d) over the unique single-row
+    configuration with the given bottom and top occupancies, scanned right to
+    left from the spec's boundary label; None when some label leaves the
+    admissible range or some weight is 0.  one is the product's unit, so the
+    same scan serves rational functions and factored fractions."""
+    fermionic = spec.fermionic
+    out = one
     c = spec.right_boundary
     for i in range(nsites - 1, -1, -1):
         b = bottom[i] if i < len(bottom) else 0
         d = top[i] if i < len(top) else 0
         a = c + d - b
         if a < 0 or (fermionic and a > 1):
-            return ZERO
-        if spec.inhomogeneities is not None:
-            xi = x / as_rf(spec.inhomogeneities[i])
-        else:
-            xi = x
-        w = vertex_weight(model, a, b, c, d, xi)
-        if subs and not w.is_zero():
-            w = w.substitute(subs)
+            return None
+        w = vertex(i, a, b, c, d)
         if w.is_zero():
-            return ZERO
-        weight = weight * w
+            return None
+        out = out * w
         c = a
-    return weight
+    return out
+
+
+def row_configuration_weight(spec: TransferSpec, bottom, top, x) -> RationalFunction:
+    """Weight of the unique single-row configuration with the given bottom
+    and top occupancies; 0 when some label leaves the admissible range."""
+    x = as_rf(x)
+    nsites = max(len(bottom), len(top), spec.sites or 0)
+    w = scan_row(
+        spec, bottom, top, nsites, lambda i, a, b, c, d: spec.weight(i, a, b, c, d, x), ONE
+    )
+    return ZERO if w is None else w
 
 
 def transfer_element(spec: TransferSpec, mu, lam, x) -> RationalFunction:
@@ -125,49 +148,69 @@ _WEIGHT_PROBES = (
 )
 
 
-def _seed_atoms(spec: TransferSpec, variables):
-    """Denominator atoms that single-row weights can produce, one spectral
-    variable at a time (probing the weight table covers every tile shape)."""
-    model = spec.weight_model
-    subs = dict(spec.specialize) if spec.specialize else None
-    dens = []
-    nsites = spec.sites or 1
-    for var in variables:
-        xs = [RationalFunction.var(var)]
-        if spec.inhomogeneities is not None:
-            xs = [xs[0] / as_rf(z) for z in spec.inhomogeneities[:nsites]]
-        for x in xs:
-            for labels in _WEIGHT_PROBES:
-                try:
-                    w = vertex_weight(model, *labels, x)
-                except LabelOutOfRange:
-                    continue
-                if subs and not w.is_zero():
-                    w = w.substitute(subs)
-                if not w.is_zero() and not w.den.is_constant():
-                    dens.append(w.den)
-    return dens
+def _chain_sum(spec: TransferSpec, steps_fn, lam, variables, inner=()):
+    """Sum over chains inner = mu0 <= ... <= mun = lam of products of
+    single-row elements, the k-th step at spectral parameter variables[k-1].
 
-
-def _chain_sum(elem_fn, steps_fn, lam, variables, spec, inner=()):
-    """Sum over chains inner = mu0 <= ... <= mun = lam of element products;
-    elem_fn(prev, nxt, var) supplies the single-row factor for one step.
-
-    Accumulation happens over a factored-denominator basis: the only
-    denominators are products of the weight-table atoms, so additions align
+    Every element is built once, at a shared spectral parameter x0, from a
+    per-call vertex cache (keyed by site only when there are
+    inhomogeneities), and renamed to each step's variable; alpha and beta
+    are substituted once per cached vertex, never into a finished
+    polynomial.  Accumulation happens over a factored-denominator basis:
+    the only denominators are products of the weight-table atoms (probed at
+    x0 and renamed to each variable), so additions and products align
     exponents instead of running polynomial gcds.
     """
-    reg = FactorRegistry(_seed_atoms(spec, variables))
-    memo: dict = {}
-    elem_cache: dict = {}
+    x0 = RationalFunction.var("x0")
+    site_key = spec.inhomogeneities is not None
+    probed: dict = {}
+    for i in range(len(spec.inhomogeneities)) if site_key else (0,):
+        for labels in _WEIGHT_PROBES:
+            try:
+                probed[(i, *labels)] = spec.weight(i, *labels, x0)
+            except LabelOutOfRange:
+                pass
+    reg0 = FactorRegistry(w.den for w in probed.values())
+    # atom j of reg0 renamed to variables[k] is atom at[k][j] of reg
+    index: dict = {}
+    at = [
+        [index.setdefault(atom.rename_vars({"x0": var}), len(index)) for atom in reg0.atoms]
+        for var in variables
+    ]
+    reg = FactorRegistry(atoms=list(index))
+
+    vcache: dict = {}
+
+    def vertex(i, a, b, c, d):
+        key = (i if site_key else 0, a, b, c, d)
+        got = vcache.get(key)
+        if got is None:
+            w = probed.get(key)
+            if w is None:
+                w = spec.weight(i, a, b, c, d, x0)
+            got = vcache[key] = reg0.from_rf(w)
+        return got
+
+    nsites = max(spec.min_sites(lam), spec.sites or 0)
+    one0 = reg0.one()
+    at_x0: dict = {}
 
     def elem(prev, mu, k):
-        key = (prev, mu, k)
-        got = elem_cache.get(key)
-        if got is None:
-            got = reg.from_rf(elem_fn(prev, mu, variables[k - 1]))
-            elem_cache[key] = got
-        return got
+        e = at_x0.get((prev, mu))
+        if e is None:
+            bottom, top = (mu, prev) if spec.dual else (prev, mu)
+            e = scan_row(
+                spec, spec.encode(bottom, nsites), spec.encode(top, nsites), nsites, vertex, one0
+            )
+            e = at_x0[(prev, mu)] = reg0.zero() if e is None else e
+        if e.is_zero():
+            return reg.zero()
+        powers = [0] * len(reg.atoms)
+        for j, p in zip(at[k - 1], e.powers):
+            powers[j] += p
+        return FFrac(reg, e.num.rename_vars({"x0": variables[k - 1]}), powers)
+
+    memo: dict = {}
 
     def value(mu, k):
         if k == 0:
@@ -197,78 +240,53 @@ def _default_vars(n: int, variables=None):
     return [f"x{i}" for i in range(1, n + 1)]
 
 
-def _direct_elem(spec):
-    cache: dict = {}
-
-    def elem(prev, nxt, var):
-        got = cache.get((prev, nxt))
-        if got is None:
-            got = transfer_element(spec, prev, nxt, RationalFunction.var("x0"))
-            cache[(prev, nxt)] = got
-        return got if got.is_zero() else got.rename_vars({"x0": var})
-
-    return elem
+def _specialization(alpha, beta):
+    subs = tuple((v, as_rf(val)) for v, val in (("a", alpha), ("b", beta)) if val is not None)
+    return subs or None
 
 
-def _dual_elem(spec):
-    # dual route: the step factor is <nxt|T*(x)|prev>, bottom = nxt, top = prev
-    cache: dict = {}
-
-    def elem(prev, nxt, var):
-        got = cache.get((prev, nxt))
-        if got is None:
-            got = transfer_element(spec, nxt, prev, RationalFunction.var("x0"))
-            cache[(prev, nxt)] = got
-        return got if got.is_zero() else got.rename_vars({"x0": var})
-
-    return elem
-
-
-def groth_poly(lam, n: int, encoding: str = "row", variables=None) -> RationalFunction:
-    """Canonical Grothendieck polynomial in n variables, formal alpha/beta."""
-    lam = check_partition(lam)
-    xs = _default_vars(n, variables)
+def groth_poly(
+    lam, n: int, encoding: str = "row", variables=None, *, alpha=None, beta=None
+) -> RationalFunction:
+    """Canonical Grothendieck polynomial in n variables; alpha and beta stay
+    formal unless given as exact values."""
     model = WeightModel.ROW_G if encoding == "row" else WeightModel.COL_G
-    spec = TransferSpec(model, sites=TransferSpec(model).min_sites(lam))
-    return _chain_sum(_direct_elem(spec), horizontal_strip_subs, lam, xs, spec)
+    spec = TransferSpec(model, specialize=_specialization(alpha, beta))
+    return _chain_sum(spec, horizontal_strip_subs, check_partition(lam), _default_vars(n, variables))
 
 
-def groth_poly_dual_route(lam, n: int, variables=None) -> RationalFunction:
+def groth_poly_dual_route(lam, n: int, variables=None, *, alpha=None, beta=None) -> RationalFunction:
     """Same polynomial via the dual tiles and right boundary 1."""
-    lam = check_partition(lam)
-    xs = _default_vars(n, variables)
-    spec = TransferSpec(
-        WeightModel.ROW_G, dual=True, sites=TransferSpec(WeightModel.ROW_G).min_sites(lam)
-    )
-    return _chain_sum(_dual_elem(spec), horizontal_strip_subs, lam, xs, spec)
+    spec = TransferSpec(WeightModel.ROW_G, dual=True, specialize=_specialization(alpha, beta))
+    return _chain_sum(spec, horizontal_strip_subs, check_partition(lam), _default_vars(n, variables))
 
 
-def dual_groth_poly(lam, n: int, encoding: str = "row", variables=None) -> MultiPoly:
+def dual_groth_poly(
+    lam, n: int, encoding: str = "row", variables=None, *, alpha=None, beta=None
+) -> MultiPoly:
     """Dual canonical Grothendieck polynomial; always a polynomial."""
-    lam = check_partition(lam)
-    xs = _default_vars(n, variables)
     model = WeightModel.ROW_DUAL_G if encoding == "row" else WeightModel.COL_DUAL_G
-    spec = TransferSpec(model, sites=TransferSpec(model).min_sites(lam))
-    return _chain_sum(_direct_elem(spec), subpartitions, lam, xs, spec).as_poly()
+    spec = TransferSpec(model, specialize=_specialization(alpha, beta))
+    return _chain_sum(spec, subpartitions, check_partition(lam), _default_vars(n, variables)).as_poly()
 
 
-def j_poly(lam, n: int, route: str = "direct", variables=None) -> MultiPoly:
+def j_poly(lam, n: int, route: str = "direct", variables=None, *, alpha=None, beta=None) -> MultiPoly:
     """Weak dual Grothendieck polynomial j_lam = g^(1,0) of the conjugate."""
-    lam = check_partition(lam)
-    xs = _default_vars(n, variables)
-    base = TransferSpec(WeightModel.J_ROW)
-    if route == "direct":
-        spec = TransferSpec(WeightModel.J_ROW, sites=base.min_sites(lam))
-        val = _chain_sum(_direct_elem(spec), vertical_strip_subs, lam, xs, spec)
-    elif route == "dual":
-        spec = TransferSpec(WeightModel.J_ROW, dual=True, sites=base.min_sites(lam))
-        val = _chain_sum(_dual_elem(spec), vertical_strip_subs, lam, xs, spec)
-    else:
+    if route not in ("direct", "dual"):
         raise ValueError(f"unknown route {route!r}")
-    return val.as_poly()
+    spec = TransferSpec(WeightModel.J_ROW, dual=route == "dual", specialize=_specialization(alpha, beta))
+    return _chain_sum(spec, vertical_strip_subs, check_partition(lam), _default_vars(n, variables)).as_poly()
 
 
-_GEN_KINDS = ("G", "g", "J", "j", "s_r", "s_c")
+# kind -> (model, chain steps, on the conjugate?, (alpha, beta) per unit of alpha)
+_GENERALIZED = {
+    "G": (WeightModel.COL_G, horizontal_strip_subs, False, (0, -1)),
+    "g": (WeightModel.COL_DUAL_G, subpartitions, False, (0, 1)),
+    "J": (WeightModel.ROW_G, horizontal_strip_subs, True, (-1, 0)),
+    "j": (WeightModel.ROW_DUAL_G, subpartitions, True, (1, 0)),
+    "s_r": (WeightModel.ROW_G, horizontal_strip_subs, False, (0, 0)),
+    "s_c": (WeightModel.COL_G, horizontal_strip_subs, False, (0, 0)),
+}
 
 
 def generalized_poly(kind: str, lam, n: int, z=None, alpha=1, variables=None) -> RationalFunction:
@@ -283,38 +301,25 @@ def generalized_poly(kind: str, lam, n: int, z=None, alpha=1, variables=None) ->
       s_r row G-model at (0, 0) on lam;
       s_c column G-model at (0, 0) on lam.
     """
-    if kind not in _GEN_KINDS:
+    if kind not in _GENERALIZED:
         raise DifferencePropertyViolation(
-            f"kind {kind!r} is not one of the admissible pairings {_GEN_KINDS}"
+            f"kind {kind!r} is not one of the admissible pairings {tuple(_GENERALIZED)}"
         )
     lam = check_partition(lam)
+    model, steps, conj, (ka, kb) = _GENERALIZED[kind]
+    target = conjugate(lam) if conj else lam
     al = as_rf(alpha)
-    if kind == "G":
-        model, target, steps, subs = WeightModel.COL_G, lam, horizontal_strip_subs, {"a": as_rf(0), "b": -al}
-    elif kind == "g":
-        model, target, steps, subs = WeightModel.COL_DUAL_G, lam, subpartitions, {"a": as_rf(0), "b": al}
-    elif kind == "J":
-        model, target, steps, subs = WeightModel.ROW_G, conjugate(lam), horizontal_strip_subs, {"a": -al, "b": as_rf(0)}
-    elif kind == "j":
-        model, target, steps, subs = WeightModel.ROW_DUAL_G, conjugate(lam), subpartitions, {"a": al, "b": as_rf(0)}
-    elif kind == "s_r":
-        model, target, steps, subs = WeightModel.ROW_G, lam, horizontal_strip_subs, {"a": as_rf(0), "b": as_rf(0)}
-    else:  # s_c
-        model, target, steps, subs = WeightModel.COL_G, lam, horizontal_strip_subs, {"a": as_rf(0), "b": as_rf(0)}
-
     nsites = TransferSpec(model).min_sites(target)
     if z is None:
         zs = tuple(RationalFunction.var(f"z{j}") for j in range(1, nsites + 1))
     else:
         zs = tuple(as_rf(v) for v in z)
         if len(zs) < nsites:
-            raise ValueError(f"need at least {nsites} inhomogeneities for {lam}")
+            raise TooFewInhomogeneities(f"need at least {nsites} inhomogeneities for {lam}")
     spec = TransferSpec(
-        model, sites=nsites, inhomogeneities=zs[:nsites] if nsites else (),
-        specialize=tuple(sorted(subs.items())),
+        model, inhomogeneities=zs[:nsites], specialize=(("a", ka * al), ("b", kb * al))
     )
-    xs = _default_vars(n, variables)
-    return _chain_sum(_direct_elem(spec), steps, target, xs, spec)
+    return _chain_sum(spec, steps, target, _default_vars(n, variables))
 
 
 def skew_groth_poly(outer, inner, variables, encoding: str = "row") -> RationalFunction:
@@ -322,13 +327,11 @@ def skew_groth_poly(outer, inner, variables, encoding: str = "row") -> RationalF
     horizontal strips from inner to outer."""
     outer, inner = check_partition(outer), check_partition(inner)
     model = WeightModel.ROW_G if encoding == "row" else WeightModel.COL_G
-    spec = TransferSpec(model, sites=TransferSpec(model).min_sites(outer))
-    return _chain_sum(_direct_elem(spec), horizontal_strip_subs, outer, list(variables), spec, inner=inner)
+    return _chain_sum(TransferSpec(model), horizontal_strip_subs, outer, list(variables), inner=inner)
 
 
 def skew_dual_groth_poly(outer, inner, variables, encoding: str = "row") -> RationalFunction:
     """Multivariable skew dual polynomial: chain sum over subpartition steps."""
     outer, inner = check_partition(outer), check_partition(inner)
     model = WeightModel.ROW_DUAL_G if encoding == "row" else WeightModel.COL_DUAL_G
-    spec = TransferSpec(model, sites=TransferSpec(model).min_sites(outer))
-    return _chain_sum(_direct_elem(spec), subpartitions, outer, list(variables), spec, inner=inner)
+    return _chain_sum(TransferSpec(model), subpartitions, outer, list(variables), inner=inner)

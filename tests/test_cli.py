@@ -92,7 +92,95 @@ class TestCompute:
         assert code == 2
 
 
+class TestComputeContract:
+    def test_division_by_zero_is_one_line_usage_error(self, capsys):
+        code = main(["compute", "--kind", "G", "--lambda", "2", "--nvars", "2", "--z", "0,1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_too_few_inhomogeneities_is_usage_error(self, capsys):
+        code = main(["compute", "--kind", "G", "--lambda", "2,1", "--nvars", "2", "--z", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "kind, flag, value",
+        [("G", "--beta", "-1/3"), ("j", "--alpha", "-2"), ("G", "--z", "-1,2"), ("J", "--alpha", "-3/2")],
+    )
+    def test_negative_value_in_both_forms(self, run, kind, flag, value):
+        base = ["compute", "--kind", kind, "--lambda", "2", "--nvars", "2", "--format", "plain"]
+        spaced = run(base + [flag, value])
+        joined = run(base + [f"{flag}={value}"])
+        assert spaced[0] == 0
+        assert spaced == joined
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kind", "g", "--route", "direct"],
+            ["--kind", "g", "--route", "dual"],
+            ["--kind", "j", "--encoding", "row"],
+            ["--kind", "j", "--encoding", "column"],
+            ["--kind", "G", "--z", "1", "--beta", "1"],
+            ["--kind", "g", "--z", "formal", "--beta", "1"],
+            ["--kind", "J", "--beta", "1"],
+            ["--kind", "s_r", "--beta", "1"],
+            ["--kind", "s_c", "--beta", "1"],
+            ["--kind", "s_r", "--alpha", "1"],
+            ["--kind", "G", "--z", "1", "--route", "dual"],
+            ["--kind", "J", "--encoding", "column"],
+            ["--kind", "G", "--route", "dual", "--encoding", "column"],
+        ],
+    )
+    def test_flag_the_kind_ignores_is_usage_error(self, capsys, flags):
+        code = main(["compute", "--lambda", "1", "--nvars", "1", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --")
+
+    def test_flags_the_kind_reads_are_accepted(self, run):
+        for flags in (
+            ["--kind", "G", "--route", "dual", "--encoding", "row", "--alpha", "1", "--beta", "2"],
+            ["--kind", "g", "--encoding", "column", "--beta", "1"],
+            ["--kind", "j", "--route", "dual", "--alpha", "0"],
+            ["--kind", "J", "--alpha", "2", "--z", "3"],
+            ["--kind", "s_c", "--z", "formal"],
+        ):
+            code, _ = run(["compute", "--lambda", "1", "--nvars", "1", *flags])
+            assert code == 0, flags
+
+
 class TestVerify:
+    @pytest.mark.parametrize(
+        "bound",
+        [["--aux-max", "-1"], ["--phys-max", "-1"], ["--max-label", "-1"],
+         ["--occ-max", "-1"], ["--degree-bound", "-1"], ["--sites", "0"]],
+    )
+    def test_bad_bound_is_usage_error(self, capsys, bound):
+        code = main(["verify", "--suite", "rll", *bound])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+
+    def test_every_counting_check_has_cases_at_the_defaults(self, run):
+        code, out = run(["verify", "--suite", "rll,eigenvector,unitarity,inversion,commutation"])
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        assert code == 0
+        assert len(lines) == 20
+        assert all(line["params"]["cases"] > 0 for line in lines), lines
+
+    def test_check_with_no_cases_is_usage_error(self, capsys, monkeypatch):
+        from grothpoly import cli
+        from grothpoly.identities import CheckReport
+
+        monkeypatch.setattr(cli, "run_suite", lambda suite, **kw: [CheckReport("demo", {"cases": 0})])
+        code = main(["verify", "--suite", "unitarity"])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
     def test_unitarity_suite(self, run):
         code, out = run(["verify", "--suite", "unitarity", "--max-label", "2"])
         assert code == 0

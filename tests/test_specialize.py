@@ -1,0 +1,88 @@
+"""Specialization inside the chain sum (alpha, beta substituted once per
+vertex weight) against the reference route: the formal polynomial with
+alpha, beta substituted into the finished result."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grothpoly.algebra import ALPHA, as_rf
+from grothpoly.oracles import branch_poly
+from grothpoly.partitions import enumerate_partitions
+from grothpoly.transfer import (
+    dual_groth_poly,
+    generalized_poly,
+    groth_poly,
+    groth_poly_dual_route,
+    j_poly,
+)
+
+SHAPES = list(enumerate_partitions(4, 4, 4))
+
+ROUTES = {
+    "G/row": lambda lam, n, **ab: groth_poly(lam, n, **ab),
+    "G/column": lambda lam, n, **ab: groth_poly(lam, n, encoding="column", **ab),
+    "G/dual": lambda lam, n, **ab: groth_poly_dual_route(lam, n, **ab),
+    "g/row": lambda lam, n, **ab: as_rf(dual_groth_poly(lam, n, **ab)),
+    "g/column": lambda lam, n, **ab: as_rf(dual_groth_poly(lam, n, encoding="column", **ab)),
+    "j/direct": lambda lam, n, **ab: as_rf(j_poly(lam, n, route="direct", **ab)),
+    "j/dual": lambda lam, n, **ab: as_rf(j_poly(lam, n, route="dual", **ab)),
+}
+
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+values = st.one_of(st.none(), st.just(Fraction(0)), small_rationals)
+
+
+def equals_late(early, formal, alpha, beta) -> bool:
+    """early equals formal with alpha, beta substituted afterwards.  The
+    substituted numerator and denominator are compared by cross-multiplying:
+    reducing their quotient, as RationalFunction.substitute does, spends
+    seconds in poly_gcd on G of (4) at three variables."""
+    subs = {v: as_rf(x) for v, x in (("a", alpha), ("b", beta)) if x is not None}
+    num = formal.num.substitute(subs).as_poly()
+    den = formal.den.substitute(subs).as_poly()
+    assert not den.is_zero()
+    return early.num * den == num * early.den
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    route=st.sampled_from(sorted(ROUTES)),
+    lam=st.sampled_from(SHAPES),
+    n=st.integers(min_value=0, max_value=3),
+    alpha=values,
+    beta=values,
+    cancel=st.booleans(),
+)
+def test_early_specialization_equals_late(route, lam, n, alpha, beta, cancel):
+    if cancel and alpha is not None:
+        # beta = -alpha: (1 + beta x) and (1 - alpha x) cancel in the weights
+        beta = -alpha
+    build = ROUTES[route]
+    assert equals_late(build(lam, n, alpha=alpha, beta=beta), build(lam, n), alpha, beta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(("G", "g", "j", "J")),
+    lam=st.sampled_from(SHAPES),
+    n=st.integers(min_value=0, max_value=3),
+    alpha=st.one_of(st.just(Fraction(0)), small_rationals),
+)
+def test_generalized_alpha_inside_equals_after(kind, lam, n, alpha):
+    z = [1] * max(len(lam), lam[0] if lam else 0, 1)
+    formal = generalized_poly(kind, lam, n, z=z, alpha=ALPHA)
+    assert equals_late(generalized_poly(kind, lam, n, z=z, alpha=alpha), formal, alpha, None)
+
+
+def test_G4_three_variables_specialized_matches_oracle():
+    # the shape whose late substitution takes seconds: in reach now
+    alpha, beta = Fraction(1, 2), Fraction(-1, 3)
+    val = groth_poly((4,), 3, alpha=alpha, beta=beta)
+    oracle = branch_poly("G", (4,), 3)
+    for point in (
+        {"x1": Fraction(1, 3), "x2": Fraction(-2, 5), "x3": Fraction(3, 7)},
+        {"x1": Fraction(-5, 2), "x2": Fraction(7, 11), "x3": Fraction(1, 9)},
+    ):
+        assert val.evaluate(point) == oracle.evaluate({**point, "a": alpha, "b": beta})
