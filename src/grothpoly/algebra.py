@@ -16,6 +16,7 @@ priority x < y < z < w < a < b.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as _igcd, lcm as _ilcm
 
 
@@ -36,19 +37,28 @@ class InexactDivision(ArithmeticError):
 
 
 _FAMILY_RANK = {"x": 0, "y": 1, "z": 2, "w": 3, "a": 4, "b": 5}
+_VAR_KEYS: dict = {}
 
 
 def var_key(name: str) -> tuple[int, int]:
     """Priority key for a variable name; lower sorts first in lex order."""
-    fam = name[0]
-    if fam not in _FAMILY_RANK:
-        raise ValueError(f"unknown variable family: {name!r}")
-    idx = int(name[1:]) if len(name) > 1 else 0
-    return (_FAMILY_RANK[fam], idx)
+    key = _VAR_KEYS.get(name)
+    if key is None:
+        fam = name[0]
+        if fam not in _FAMILY_RANK:
+            raise ValueError(f"unknown variable family: {name!r}")
+        idx = int(name[1:]) if len(name) > 1 else 0
+        key = _VAR_KEYS[name] = (_FAMILY_RANK[fam], idx)
+    return key
 
 
 class Monomial:
-    """Sparse exponent vector; zero exponents are never stored."""
+    """Sparse exponent vector: (name, exponent) pairs sorted by var_key,
+    zero exponents never stored.
+
+    The public constructor validates and sorts; products and quotients
+    merge two already-sorted tuples and skip both.
+    """
 
     __slots__ = ("exps", "_key", "_hash")
 
@@ -61,10 +71,19 @@ class Monomial:
             if e:
                 var_key(v)
                 pairs.append((v, e))
-        pairs.sort(key=lambda p: var_key(p[0]))
+        pairs.sort(key=lambda p: _VAR_KEYS[p[0]])
         self.exps = tuple(pairs)
         self._key = None
         self._hash = None
+
+    @classmethod
+    def _sorted(cls, pairs: tuple) -> "Monomial":
+        """Monomial from pairs already validated and in var_key order."""
+        m = object.__new__(cls)
+        m.exps = pairs
+        m._key = None
+        m._hash = None
+        return m
 
     def degree(self) -> int:
         return sum(e for _, e in self.exps)
@@ -78,27 +97,58 @@ class Monomial:
     def key(self):
         """Total-order key: bigger key means bigger in graded-lex order."""
         if self._key is None:
-            lex = tuple(
-                (-var_key(v)[0], -var_key(v)[1], e) for v, e in self.exps
-            )
+            keys = _VAR_KEYS
+            lex = tuple((-keys[v][0], -keys[v][1], e) for v, e in self.exps)
             self._key = (self.degree(), lex)
         return self._key
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        d = dict(self.exps)
-        for v, e in other.exps:
-            d[v] = d.get(v, 0) + e
-        return Monomial(d)
+        a, b = self.exps, other.exps
+        if not b:
+            return self
+        if not a:
+            return other
+        keys = _VAR_KEYS
+        out = []
+        i = j = 0
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            va, ea = a[i]
+            vb, eb = b[j]
+            if va == vb:
+                out.append((va, ea + eb))
+                i += 1
+                j += 1
+            elif keys[va] < keys[vb]:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        return Monomial._sorted(tuple(out) + a[i:] + b[j:])
 
     def divide(self, other: "Monomial"):
         """Quotient by ``other``, or None when not divisible."""
-        d = dict(self.exps)
-        for v, e in other.exps:
-            r = d.get(v, 0) - e
+        b = other.exps
+        if not b:
+            return self
+        out = []
+        j, nb = 0, len(b)
+        vb, eb = b[0]
+        for v, e in self.exps:
+            if v != vb:
+                out.append((v, e))
+                continue
+            r = e - eb
             if r < 0:
                 return None
-            d[v] = r
-        return Monomial(d)
+            if r:
+                out.append((v, r))
+            j += 1
+            vb, eb = b[j] if j < nb else (None, 0)
+        if j < nb:
+            return None
+        return Monomial._sorted(tuple(out))
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
@@ -185,7 +235,7 @@ class MultiPoly:
         out = {}
         for m, c in self.terms.items():
             if m.exponent(name) == k:
-                out[Monomial([(v, e) for v, e in m.exps if v != name])] = c
+                out[Monomial._sorted(tuple(p for p in m.exps if p[0] != name))] = c
         return MultiPoly(out)
 
     def leading_term(self):
@@ -220,11 +270,15 @@ class MultiPoly:
             return NotImplemented
         t = dict(self.terms)
         for m, c in other.terms.items():
-            s = t.get(m, Fraction(0)) + c
-            if s:
-                t[m] = s
-            elif m in t:
-                del t[m]
+            s = t.get(m)
+            if s is None:
+                t[m] = c
+            else:
+                s += c
+                if s:
+                    t[m] = s
+                else:
+                    del t[m]
         out = MultiPoly.__new__(MultiPoly)
         out.terms = t
         out._lt = None
@@ -257,11 +311,15 @@ class MultiPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 * m2
-                s = t.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    t[m] = s
-                elif m in t:
-                    del t[m]
+                s = t.get(m)
+                if s is None:
+                    t[m] = c1 * c2
+                else:
+                    s += c1 * c2
+                    if s:
+                        t[m] = s
+                    else:
+                        del t[m]
         out = MultiPoly.__new__(MultiPoly)
         out.terms = t
         out._lt = None
@@ -302,10 +360,9 @@ class MultiPoly:
         return hash(frozenset(self.terms.items()))
 
     # -- mappings -----------------------------------------------------------
-    def mul_monomial(self, mono: Monomial, coeff=Fraction(1)) -> "MultiPoly":
-        coeff = _as_fraction(coeff)
+    def mul_monomial(self, mono: Monomial) -> "MultiPoly":
         out = MultiPoly.__new__(MultiPoly)
-        out.terms = {m * mono: c * coeff for m, c in self.terms.items()}
+        out.terms = {m * mono: c for m, c in self.terms.items()}
         out._lt = None
         return out
 
@@ -343,7 +400,7 @@ class MultiPoly:
                 c = c * t**e
                 keep.append((name, e))
             if c:
-                nm = Monomial(keep)
+                nm = Monomial._sorted(tuple(keep))
                 s = out.get(nm, Fraction(0)) + c
                 if s:
                     out[nm] = s
@@ -422,24 +479,60 @@ def _quo_monomial(p: MultiPoly, mono: Monomial) -> MultiPoly:
     return MultiPoly(out)
 
 
+def _descending_key(m: Monomial) -> tuple:
+    """Key whose ascending order is descending graded-lex order: the entries
+    of ``key()``, flattened, each negated.  Within one degree no exponent
+    list is a prefix of another, so negating every entry reverses the
+    comparison."""
+    out = [-m.degree()]
+    keys = _VAR_KEYS
+    for v, e in m.exps:
+        out += keys[v]
+        out.append(-e)
+    return tuple(out)
+
+
 def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
-    """Exact polynomial division; raises InexactDivision when d does not divide p."""
+    """Exact polynomial division; raises InexactDivision when d does not divide p.
+
+    The remainder is one dict updated in place; its terms are popped in
+    descending graded-lex order from a heap holding one entry per monomial
+    of the dict.  A term that cancels keeps a zero coefficient until popped,
+    so a monomial is never pushed twice.  Each step costs the divisor's
+    length plus a heap operation, not a pass over the remainder.
+    """
     if d.is_zero():
         raise DivisionByZero("polynomial division by zero")
     if d.is_constant():
         return p.scale(1 / d.constant_value())
-    q: dict = {}
-    r = p
     dm, dc = d.leading_term()
-    while not r.is_zero():
-        rm, rc = r.leading_term()
+    tail = [(m, -c) for m, c in d.terms.items() if m != dm]
+    r = dict(p.terms)
+    heap = [(_descending_key(m), m) for m in r]
+    heapify(heap)
+    q: dict = {}
+    while heap:
+        rm = heappop(heap)[1]
+        rc = r.pop(rm)
+        if not rc:
+            continue
         m = rm.divide(dm)
         if m is None:
             raise InexactDivision("division is not exact")
         c = rc / dc
-        q[m] = q.get(m, Fraction(0)) + c
-        r = r - d.mul_monomial(m, c)
-    return MultiPoly(q)
+        q[m] = c
+        for tm, tc in tail:
+            nm = tm * m
+            old = r.get(nm)
+            if old is None:
+                r[nm] = tc * c
+                heappush(heap, (_descending_key(nm), nm))
+            else:
+                r[nm] = old + tc * c
+    out = MultiPoly.__new__(MultiPoly)
+    out.terms = q
+    out._lt = None
+    return out
 
 
 def poly_try_div(p: MultiPoly, d: MultiPoly):
@@ -772,9 +865,9 @@ BETA = RationalFunction.var("b")
 def split_monomial(m: Monomial, series_vars) -> tuple[Monomial, Monomial]:
     """Split into (part in series variables, part in coefficient variables)."""
     sv, cv = [], []
-    for v, e in m.exps:
-        (sv if v in series_vars else cv).append((v, e))
-    return Monomial(sv), Monomial(cv)
+    for p in m.exps:
+        (sv if p[0] in series_vars else cv).append(p)
+    return Monomial._sorted(tuple(sv)), Monomial._sorted(tuple(cv))
 
 
 class TruncatedSeries:

@@ -8,6 +8,7 @@ Output carries no color codes, so NO_COLOR needs no special handling.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -242,8 +243,15 @@ def _join_negative_values(argv):
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use: parsing leaves it unchanged, and a
+    fresh namespace per call keeps one call's flags out of the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)

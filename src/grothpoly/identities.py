@@ -644,13 +644,16 @@ def check_cauchy_1(m: int, n: int, degree_bound: int = 4) -> CheckReport:
     xs, ys = _vars("x", m), _vars("y", n)
     sv = set(xs) | set(ys)
     lhs = TruncatedSeries(D)
+    cases = 0
     for lam in enumerate_partitions(D, m, D):
         G = groth_poly(lam, m, variables=xs).scale_vars({"a": -1, "b": -1})
         g = dual_groth_poly(lam, n, variables=ys)
         lhs = lhs + series_from_rf(G, sv, D) * TruncatedSeries.from_poly(g, sv, D)
+        cases += 1
     rhs = _geometric_kernel(xs, ys, D)
     report = CheckReport(
-        name="cauchy/product-kernel", parameters={"m": m, "n": n, "degree_bound": D}
+        name="cauchy/product-kernel",
+        parameters={"m": m, "n": n, "degree_bound": D, "cases": cases},
     )
     if lhs != rhs:
         report.passed = False
@@ -676,12 +679,15 @@ def check_cauchy_2(m: int, n: int, degree_bound: int | None = None) -> CheckRepo
 
     # exact finite identity at beta = 0
     lhs0 = ZERO
+    cases = 0
     for lam in enumerate_partitions(m * n, n, m):
         Gc = groth_poly(conjugate(lam), m, variables=xs).substitute(
             {"a": RationalFunction.const(0), "b": -ALPHA}
         )
         gl = dual_groth_poly(lam, n, variables=ys).scale_vars({"b": 0})
         lhs0 = lhs0 + Gc * RationalFunction(gl, _norm=False)
+        cases += 1
+    report.parameters["cases"] = cases
     rhs0 = ONE
     for xv in xs:
         for yv in ys:
@@ -704,6 +710,8 @@ def check_cauchy_2(m: int, n: int, degree_bound: int | None = None) -> CheckRepo
         )
         g = dual_groth_poly(lam, n, variables=ys)
         lhs = lhs + series_from_rf(G, sv, D) * TruncatedSeries.from_poly(g, sv, D)
+        cases += 1
+    report.parameters["cases"] = cases
     binom = MultiPoly.const(1)
     for xv in xs:
         for yv in ys:
@@ -724,9 +732,11 @@ def check_skew_cauchy(lam, mu, m: int = 2, n: int = 2, degree_bound: int = 4) ->
     width = max(lam[0] if lam else 0, mu[0] if mu else 0) + D
     length = max(len(lam), len(mu)) + D
     lhs = TruncatedSeries(D)
+    cases = 0
     for nu in enumerate_partitions(sum(lam) + D, length, width):
         if not (contains(nu, lam) and contains(nu, mu)):
             continue
+        cases += 1
         G = skew_groth_poly(nu, lam, xs).scale_vars({"a": -1, "b": -1})
         if G.is_zero():
             continue
@@ -738,6 +748,7 @@ def check_skew_cauchy(lam, mu, m: int = 2, n: int = 2, degree_bound: int = 4) ->
     for nu in enumerate_partitions(min(sum(lam), sum(mu)), 99, 99):
         if not (contains(lam, nu) and contains(mu, nu)):
             continue
+        cases += 1
         G = skew_groth_poly(mu, nu, xs).scale_vars({"a": -1, "b": -1})
         if G.is_zero():
             continue
@@ -748,7 +759,10 @@ def check_skew_cauchy(lam, mu, m: int = 2, n: int = 2, degree_bound: int = 4) ->
     rhs = _geometric_kernel(xs, ys, D) * rhs_sum
     report = CheckReport(
         name="cauchy/skew",
-        parameters={"lam": list(lam), "mu": list(mu), "m": m, "n": n, "degree_bound": D},
+        parameters={
+            "lam": list(lam), "mu": list(mu), "m": m, "n": n, "degree_bound": D,
+            "cases": cases,
+        },
     )
     if lhs != rhs:
         report.passed = False
@@ -787,7 +801,7 @@ def check_gen_cauchy(kind: str, m: int, n: int, degree_bound: int = 3) -> CheckR
     rhs = _geometric_kernel(xs, ys, D)
     report = CheckReport(
         name=f"cauchy/generalized-{kind}",
-        parameters={"m": m, "n": n, "degree_bound": D},
+        parameters={"m": m, "n": n, "degree_bound": D, "cases": len(lams)},
     )
     if lhs != rhs:
         report.passed = False
@@ -803,7 +817,9 @@ def check_G_at_z(lam, m: int) -> CheckReport:
     inv_w = [ONE / RationalFunction.var(f"w{j}") for j in range(1, m + 1)]
     zs = _vars("z", m)
     val = generalized_poly("G", lam, m, z=inv_w, variables=zs)
-    report = CheckReport(name="cauchy/G-at-z", parameters={"lam": list(lam), "m": m})
+    report = CheckReport(
+        name="cauchy/G-at-z", parameters={"lam": list(lam), "m": m, "cases": 1}
+    )
     ok = val.is_polynomial() and laurent_reduce(val.num) == MultiPoly.const(1)
     if not ok:
         report.passed = False
@@ -819,17 +835,20 @@ def check_dual_sum_rule(m: int, n: int, degree_bound: int = 3) -> CheckReport:
     sv = set(ys)
     inv_z = [ONE / RationalFunction.var(f"z{j}") for j in range(1, m + 1)]
     lhs = TruncatedSeries(D)
+    cases = 0
     for lam in enumerate_partitions(m * D, m, D):
         g = generalized_poly("g", lam, n, z=inv_z, variables=ys)
         if not g.is_zero():
             lhs = lhs + series_from_rf(g, sv, D)
+        cases += 1
     rhs = TruncatedSeries.one(D)
     for i in range(1, m + 1):
         for yv in ys:
             den = MultiPoly.const(1) - MultiPoly.var(f"z{i}") * MultiPoly.var(yv)
             rhs = rhs * series_from_rf(RationalFunction(MultiPoly.const(1), den), sv, D)
     report = CheckReport(
-        name="cauchy/dual-sum-rule", parameters={"m": m, "n": n, "degree_bound": D}
+        name="cauchy/dual-sum-rule",
+        parameters={"m": m, "n": n, "degree_bound": D, "cases": cases},
     )
     if lhs != rhs:
         report.passed = False

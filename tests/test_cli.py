@@ -45,6 +45,17 @@ class TestCompute:
         assert code == 0
         assert r"\frac" in out and r"\alpha" in out
 
+    def test_flags_do_not_leak_between_calls(self, run):
+        from grothpoly import cli
+
+        formal = ["compute", "--kind", "G", "--lambda", "1", "--nvars", "1", "--format", "plain"]
+        _, before = run(formal)
+        _, special = run(formal + ["--alpha", "1"])
+        _, after = run(formal)
+        assert before == after == "(-x1)/(a*x1 - 1)\n"
+        assert special != before
+        assert cli._parser() is cli._parser()
+
     def test_alpha_beta_specialization(self, run):
         code, out = run(
             ["compute", "--kind", "g", "--lambda", "2", "--nvars", "2",
@@ -166,10 +177,10 @@ class TestVerify:
         assert captured.out == ""
 
     def test_every_counting_check_has_cases_at_the_defaults(self, run):
-        code, out = run(["verify", "--suite", "rll,eigenvector,unitarity,inversion,commutation"])
+        code, out = run(["verify", "--suite", "rll,eigenvector,unitarity,inversion,commutation,cauchy"])
         lines = [json.loads(line) for line in out.strip().splitlines()]
         assert code == 0
-        assert len(lines) == 20
+        assert len(lines) == 36
         assert all(line["params"]["cases"] > 0 for line in lines), lines
 
     def test_check_with_no_cases_is_usage_error(self, capsys, monkeypatch):
