@@ -456,6 +456,9 @@ class MultiPoly:
         return f"MultiPoly({poly_to_str(self)})"
 
 
+_POLY_ONE = MultiPoly.const(1)
+
+
 def monomial_content(p: MultiPoly) -> Monomial:
     """Largest monomial dividing every term of p (p nonzero)."""
     mins: dict = None
@@ -542,14 +545,18 @@ def poly_try_div(p: MultiPoly, d: MultiPoly):
         return None
 
 
+def _unit(p: MultiPoly) -> Fraction:
+    """Signed content: p / _unit(p) has coprime integer coefficients and a
+    positive leading coefficient (p nonzero)."""
+    c = p.content()
+    return -c if p.leading_term()[1] < 0 else c
+
+
 def _make_primitive(p: MultiPoly) -> MultiPoly:
     """Scale to coprime integer coefficients with positive leading coefficient."""
     if p.is_zero():
         return p
-    c = p.content()
-    if p.leading_term()[1] < 0:
-        c = -c
-    return p.scale(1 / c)
+    return p.scale(1 / _unit(p))
 
 
 def _prem(A: MultiPoly, B: MultiPoly, v: str) -> MultiPoly:
@@ -651,41 +658,69 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return _make_primitive(out)
 
 
+def _unit_normal(num: MultiPoly, den: MultiPoly):
+    """Scale num/den so den has coprime integer coefficients and a positive
+    leading coefficient (den nonzero)."""
+    c = _unit(den)
+    if c == 1:
+        return num, den
+    return num.scale(1 / c), den.scale(1 / c)
+
+
+def _gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """poly_gcd, or 1 without one when either side is constant."""
+    if p.is_constant() or q.is_constant():
+        return _POLY_ONE
+    return poly_gcd(p, q)
+
+
+def _cancel(p: MultiPoly, q: MultiPoly):
+    """p/g, q/g for g = gcd(p, q)."""
+    g = _gcd(p, q)
+    if g.is_constant():
+        return p, q
+    return poly_divexact(p, g), poly_divexact(q, g)
+
+
 class RationalFunction:
     """Reduced quotient of two multivariate polynomials.
 
     Invariants: den != 0; gcd(num, den) = 1; den has coprime integer
     coefficients with positive leading coefficient; zero is 0/1.
+
+    The public constructor reduces arbitrary input through a gcd of num and
+    den.  The operators rely on their operands being reduced and never take
+    the gcd of a product (Henrici; Knuth, TAOCP 4.5.1): products and
+    quotients cancel crosswise, sums cancel only against the gcd of the two
+    denominators, and powers need no gcd at all.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None, *, _norm=True):
         if den is None:
-            den = MultiPoly.const(1)
+            den = _POLY_ONE
         if den.is_zero():
             raise DivisionByZero("zero denominator")
         if _norm:
             if num.is_zero():
-                den = MultiPoly.const(1)
-            elif den.is_constant():
-                c = den.constant_value()
-                if c != 1:
-                    num = num.scale(1 / c)
-                den = MultiPoly.const(1)
+                den = _POLY_ONE
             else:
-                g = poly_gcd(num, den)
-                if not (g.is_constant() and g.constant_value() == 1):
-                    num = poly_divexact(num, g)
-                    den = poly_divexact(den, g)
-                c = den.content()
-                if den.leading_term()[1] < 0:
-                    c = -c
-                if c != 1:
-                    num = num.scale(1 / c)
-                    den = den.scale(1 / c)
+                num, den = _cancel(num, den)
+                num, den = _unit_normal(num, den)
         self.num = num
         self.den = den
+
+    @classmethod
+    def _coprime(cls, num: MultiPoly, den: MultiPoly) -> "RationalFunction":
+        """num/den for coprime num and nonzero den: only the unit
+        normalization of den, no gcd."""
+        out = cls.__new__(cls)
+        if num.is_zero():
+            out.num, out.den = num, _POLY_ONE
+        else:
+            out.num, out.den = _unit_normal(num, den)
+        return out
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -709,10 +744,10 @@ class RationalFunction:
         return self.num.is_zero()
 
     def is_one(self) -> bool:
-        return self.num == MultiPoly.const(1) and self.den == MultiPoly.const(1)
+        return self.num == _POLY_ONE and self.den == _POLY_ONE
 
     def is_polynomial(self) -> bool:
-        return self.den == MultiPoly.const(1)
+        return self.den == _POLY_ONE
 
     def as_poly(self) -> MultiPoly:
         if not self.is_polynomial():
@@ -726,11 +761,18 @@ class RationalFunction:
             return other
         if other.is_zero():
             return self
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1 == d2:
+            return RationalFunction._coprime(*_cancel(n1 + n2, d1))
+        g = _gcd(d1, d2)
+        if g.is_constant():
+            # coprime denominators: the cross sum is already reduced
+            return RationalFunction._coprime(n1 * d2 + n2 * d1, d1 * d2)
+        d1, d2 = poly_divexact(d1, g), poly_divexact(d2, g)
+        # the cross sum is coprime to both cofactors d1, d2; only g can
+        # share a factor with it
+        t, g = _cancel(n1 * d2 + n2 * d1, g)
+        return RationalFunction._coprime(t, d1 * d2 * g)
 
     __radd__ = __add__
 
@@ -750,7 +792,9 @@ class RationalFunction:
         other = as_rf(other)
         if self.is_zero() or other.is_zero():
             return RationalFunction.zero()
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
+        return RationalFunction._coprime(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -758,7 +802,9 @@ class RationalFunction:
         other = as_rf(other)
         if other.is_zero():
             raise DivisionByZero("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        n1, n2 = _cancel(self.num, other.num)
+        d2, d1 = _cancel(other.den, self.den)
+        return RationalFunction._coprime(n1 * d2, d1 * n2)
 
     def __rtruediv__(self, other):
         return as_rf(other) / self
@@ -769,8 +815,13 @@ class RationalFunction:
         if k < 0:
             if self.is_zero():
                 raise DivisionByZero("negative power of zero")
-            return RationalFunction(self.den ** (-k), self.num ** (-k))
-        return RationalFunction(self.num**k, self.den**k)
+            return RationalFunction._coprime(self.den ** (-k), self.num ** (-k))
+        # powers of coprime polynomials stay coprime, and by Gauss's lemma
+        # den**k stays primitive with a positive leading coefficient
+        out = RationalFunction.__new__(RationalFunction)
+        out.num = self.num**k
+        out.den = self.den**k
+        return out
 
     def __eq__(self, other):
         try:
@@ -805,31 +856,14 @@ class RationalFunction:
             raise DivisionByZero("denominator vanishes identically after substitution")
         if any(_as_fraction(t) == 0 for t in mapping.values()):
             return RationalFunction(num, den)
-        if not num.is_zero():
-            c = den.content()
-            if den.leading_term()[1] < 0:
-                c = -c
-            if c != 1:
-                num = num.scale(1 / c)
-                den = den.scale(1 / c)
-        else:
-            den = MultiPoly.const(1)
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = num
-        out.den = den
-        return out
+        return RationalFunction._coprime(num, den)
 
     def rename_vars(self, mapping: dict) -> "RationalFunction":
         # renaming preserves reducedness; only the denominator's leading-sign
         # normalization can change when the monomial order moves
-        num = self.num.rename_vars(mapping)
-        den = self.den.rename_vars(mapping)
-        if not num.is_zero() and den.leading_term()[1] < 0:
-            num, den = -num, -den
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = num
-        out.den = den
-        return out
+        return RationalFunction._coprime(
+            self.num.rename_vars(mapping), self.den.rename_vars(mapping)
+        )
 
     def evaluate(self, point: dict) -> Fraction:
         d = self.den.evaluate(point)

@@ -67,6 +67,7 @@ class FactorRegistry:
         if atoms is None:
             atoms = gcd_free_atoms(list(seeds))
         self.atoms: list[MultiPoly] = list(atoms)
+        self._powcache: dict = {}
 
     def factor(self, den: MultiPoly):
         """Split den into atom powers; the leftover must be constant."""
@@ -102,13 +103,9 @@ class FactorRegistry:
         return FFrac(self, num, tuple(powers))
 
     def atom_power(self, i: int, k: int) -> MultiPoly:
-        cache = getattr(self, "_powcache", None)
-        if cache is None:
-            cache = self._powcache = {}
-        got = cache.get((i, k))
+        got = self._powcache.get((i, k))
         if got is None:
-            got = self.atoms[i] ** k
-            cache[(i, k)] = got
+            got = self._powcache[(i, k)] = self.atoms[i] ** k
         return got
 
 
@@ -179,19 +176,6 @@ class FFrac:
         for i, p in enumerate(red.powers):
             if p:
                 den = den * self.reg.atom_power(i, p)
-        if den.is_constant():
-            out = RationalFunction(red.num, _norm=False)
-            return out
         # atoms are irreducible and none divides the numerator, so the
         # fraction is reduced; only content/sign normalization remains
-        num, den = red.num, den
-        c = den.content()
-        if den.leading_term()[1] < 0:
-            c = -c
-        if c != 1:
-            num = num.scale(1 / c)
-            den = den.scale(1 / c)
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = num
-        out.den = den
-        return out
+        return RationalFunction._coprime(red.num, den)

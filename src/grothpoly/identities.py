@@ -310,19 +310,25 @@ def check_eigenvector(family, max_label: int = 5) -> CheckReport:
     top_f, bot_f = rmatrix_line_types(fam)
     out_tops = (0, 1) if bot_f else tuple(range(max_label + 1))
     out_bots = (0, 1) if top_f else tuple(range(max_label + 1))
+
+    def raw(a, b, c, d):
+        return rmatrix_entry(fam, a, b, c, d, _X, _Y)
+
+    reg = _probe_registry([raw])
+    entry = _cached_ffrac(reg, raw)
     report = CheckReport(name=f"eigenvector/{fam.value}", parameters={"max_label": max_label})
     for ot, ob in product(out_tops, out_bots):
-        total = ZERO
+        total = reg.zero()
         for a in (0, 1) if top_f else range(ot + ob + 1):
             bb = ot + ob - a
             if bb < 0 or (bot_f and bb > 1):
                 continue
-            total = total + rmatrix_entry(fam, a, bb, ot, ob, _X, _Y)
-        if total != ONE:
+            total = total + entry(a, bb, ot, ob)
+        if not (total - reg.one()).is_zero():
             report.passed = False
             report.counterexample = {
                 "labels": {"out_top": ot, "out_bottom": ob},
-                "lhs": rf_to_str(total),
+                "lhs": rf_to_str(total.to_rf()),
                 "rhs": "1",
             }
             return report

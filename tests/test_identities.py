@@ -20,7 +20,7 @@ from grothpoly.identities import (
     laurent_reduce,
     run_suite,
 )
-from grothpoly.models import RMatrixFamily, WeightModel, vertex_weight
+from grothpoly.models import RMatrixFamily, WeightModel, rmatrix_entry, vertex_weight
 from grothpoly.algebra import MultiPoly
 
 
@@ -108,6 +108,23 @@ class TestEigenvector:
     def test_mixed_rejected(self):
         with pytest.raises(ValueError):
             check_eigenvector(RMatrixFamily.MIXED_R)
+
+    def test_detects_a_wrong_entry(self, monkeypatch):
+        # double one col-G-R entry; the column sum it enters is no longer 1
+        original = rmatrix_entry
+
+        def broken(family, a, b, c, d, x, y):
+            e = original(family, a, b, c, d, x, y)
+            if family is RMatrixFamily.COL_G_R and (a, b, c, d) == (1, 1, 1, 1):
+                return e * RationalFunction.const(2)
+            return e
+
+        monkeypatch.setattr(identities, "rmatrix_entry", broken)
+        rep = check_eigenvector(RMatrixFamily.COL_G_R, max_label=3)
+        assert not rep.passed
+        cex = rep.counterexample
+        assert cex["labels"] == {"out_top": 1, "out_bottom": 1}
+        assert cex["rhs"] == "1" and cex["lhs"] not in ("", "1")
 
 
 def test_unitary_small():
