@@ -614,7 +614,8 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     shared = p1.variables() & q1.variables()
     if not shared:
         return base
-    v = min(shared, key=var_key)
+    # least degree first: repeated binomials in a high-degree variable blow up the PRS
+    v = min(shared, key=lambda s: (max(p1.degree_in(s), q1.degree_in(s)), var_key(s)))
     cont_p = MultiPoly()
     for k in range(p1.degree_in(v) + 1):
         c = p1.coeff_in(v, k)

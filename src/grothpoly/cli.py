@@ -22,7 +22,7 @@ from .algebra import (
     rf_to_str,
 )
 from .identities import SUITES, run_suite
-from .models import WeightModel, vertex_weight
+from .models import FERMIONIC_MODELS, LabelOutOfRange, WeightModel, vertex_weight
 from .partitions import check_partition
 from .transfer import (
     TooFewInhomogeneities,
@@ -165,11 +165,11 @@ def _cmd_dump_weights(args, out) -> int:
     except ValueError as exc:
         names = ", ".join(m.value for m in WeightModel)
         raise UsageError(f"unknown family {args.family!r}; choose from {names}") from exc
+    k = args.max_label
+    if k < 0:
+        raise UsageError("--max-label must be nonnegative")
     x = RationalFunction.var("x1")
     entries = []
-    k = args.max_label
-    from .models import FERMIONIC_MODELS, LabelOutOfRange
-
     aux = (0, 1) if model in FERMIONIC_MODELS else range(k + 1)
     for a in aux:
         for b in range(k + 1):

@@ -10,13 +10,13 @@ carry a minimal counterexample (the offending labels and both sides).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 from .algebra import (
     ALPHA,
-    BETA,
     Monomial,
     MultiPoly,
     RationalFunction,
@@ -25,14 +25,15 @@ from .algebra import (
     poly_to_str,
     series_from_rf,
 )
-from .factored import FactorRegistry
+from .factored import ONE as _ONE, ZERO as _ZERO, as_ffrac
 from .models import (
-    LabelOutOfRange,
+    FORMAL_ALPHA,
+    FORMAL_BETA,
     RMatrixFamily,
     WeightModel,
-    rmatrix_entry,
+    factored_entry,
+    factored_weight,
     rmatrix_line_types,
-    vertex_weight,
 )
 from .partitions import check_partition, conjugate, contains, enumerate_partitions
 from .transfer import (
@@ -48,8 +49,8 @@ from .transfer import (
 
 ONE = RationalFunction.one()
 ZERO = RationalFunction.zero()
-_X = RationalFunction.var("x1")
-_Y = RationalFunction.var("y1")
+_X = as_ffrac("x1")
+_Y = as_ffrac("y1")
 
 
 @dataclass
@@ -80,55 +81,16 @@ def _occupancies(sites: int, occ_max: int):
     return list(product(range(occ_max + 1), repeat=sites))
 
 
-_PROBE_RANGE = 4
+def _cached(fn):
+    """fn on labels, memoized as a factored fraction."""
+    return functools.cache(lambda *labels: as_ffrac(fn(*labels)))
 
 
-def _probe_registry(fns) -> FactorRegistry:
-    """Factor basis covering every denominator the given label functions
-    (weights or R-matrix entries) can produce: small labels hit every case
-    branch, and powers reuse the same atoms."""
-    dens = []
-    for fn in fns:
-        for labels in product(range(_PROBE_RANGE), repeat=4):
-            try:
-                dens.append(fn(*labels).den)
-            except LabelOutOfRange:
-                continue
-    return FactorRegistry(dens)
-
-
-def _site_weights(spec: TransferSpec, spectrals):
-    """Label functions for the spec's weights at each spectral parameter."""
-    return [lambda a, b, c, d, x=x: spec.weight(0, a, b, c, d, x) for x in spectrals]
-
-
-def _cached_ffrac(reg, fn):
-    cache: dict = {}
-
-    def get(*labels):
-        got = cache.get(labels)
-        if got is None:
-            try:
-                w = fn(*labels)
-            except LabelOutOfRange:
-                w = ZERO
-            got = reg.from_rf(w) if not w.is_zero() else reg.zero()
-            cache[labels] = got
-        return got
-
-    return get
-
-
-def _row_scanner(reg, spec: TransferSpec, spectrals):
-    """Single-row configuration weight over a factor registry, with a shared
-    per-site vertex cache; bottom/top are occupancy tuples."""
-    vertex = _cached_ffrac(reg, lambda i, a, b, c, d: spec.weight(i, a, b, c, d, spectrals[i]))
-
-    def row(bottom, top):
-        w = scan_row(spec, bottom, top, len(spectrals), vertex, reg.one())
-        return reg.zero() if w is None else w
-
-    return row
+def _row_scanner(spec: TransferSpec, spectrals):
+    """Single-row configuration weight with per-site spectral parameters and
+    a shared per-site vertex cache; bottom/top are occupancy tuples."""
+    vertex = _cached(lambda i, a, b, c, d: spec.vertex(i, a, b, c, d, spectrals[i]))
+    return lambda bottom, top: scan_row(spec, bottom, top, len(spectrals), vertex)
 
 
 def _first_series_mismatch(lhs: TruncatedSeries, rhs: TruncatedSeries):
@@ -164,7 +126,8 @@ def laurent_reduce(p: MultiPoly) -> MultiPoly:
 # RLL relations
 # ---------------------------------------------------------------------------
 
-_NEG_AB = {"a": -ALPHA, "b": -BETA}
+# the mixed pair's T* tiles sit at (-alpha, -beta)
+_NEG_AB = (("a", -FORMAL_ALPHA), ("b", -FORMAL_BETA))
 
 
 @dataclass(frozen=True)
@@ -174,7 +137,7 @@ class _RllPair:
     rfam: RMatrixFamily
     x_fermionic: bool
     y_fermionic: bool
-    wx_subs: tuple | None = None
+    wx_ab: tuple = ()  # alpha, beta of the x-line tiles when not formal
 
 
 RLL_PAIRS = {
@@ -185,7 +148,7 @@ RLL_PAIRS = {
     "j": _RllPair(WeightModel.J_ROW, WeightModel.J_ROW, RMatrixFamily.J_R, True, True),
     "mixed": _RllPair(
         WeightModel.ROW_G_DUAL, WeightModel.ROW_DUAL_G, RMatrixFamily.MIXED_R,
-        True, False, wx_subs=tuple(sorted(_NEG_AB.items())),
+        True, False, wx_ab=(-FORMAL_ALPHA, -FORMAL_BETA),
     ),
 }
 
@@ -195,24 +158,9 @@ def check_rll(pair: str, aux_max: int = 3, phys_max: int = 4) -> CheckReport:
     admissible external labels, the internal sums on both sides agree as
     rational functions in x, y, alpha, beta."""
     cfg = RLL_PAIRS[pair]
-    subs_x = dict(cfg.wx_subs) if cfg.wx_subs else None
-
-    def raw_wx(a, b, c, d):
-        w = vertex_weight(cfg.wx, a, b, c, d, _X)
-        if subs_x and not w.is_zero():
-            w = w.substitute(subs_x)
-        return w
-
-    def raw_wy(a, b, c, d):
-        return vertex_weight(cfg.wy, a, b, c, d, _Y)
-
-    def raw_r(a, b, c, d):
-        return rmatrix_entry(cfg.rfam, a, b, c, d, _X, _Y)
-
-    reg = _probe_registry([raw_wx, raw_wy, raw_r])
-    wx = _cached_ffrac(reg, raw_wx)
-    wy = _cached_ffrac(reg, raw_wy)
-    rmat = _cached_ffrac(reg, raw_r)
+    wx = _cached(lambda a, b, c, d: factored_weight(cfg.wx, a, b, c, d, _X, *cfg.wx_ab))
+    wy = _cached(lambda a, b, c, d: factored_weight(cfg.wy, a, b, c, d, _Y))
+    rmat = _cached(lambda a, b, c, d: factored_entry(cfg.rfam, a, b, c, d, _X, _Y))
 
     def xline_ok(v):
         return v >= 0 and (not cfg.x_fermionic or v <= 1)
@@ -232,7 +180,7 @@ def check_rll(pair: str, aux_max: int = 3, phys_max: int = 4) -> CheckReport:
         if not 0 <= d <= phys_max:
             continue
         cases += 1
-        lhs = reg.zero()
+        lhs = _ZERO
         for g in range(a + a2 + 1):
             gy = a + a2 - g
             mid = g + b - c
@@ -259,7 +207,7 @@ def check_rll(pair: str, aux_max: int = 3, phys_max: int = 4) -> CheckReport:
                 }
                 return report
             lhs = lhs + t
-        rhs = reg.zero()
+        rhs = _ZERO
         for g in range(c + c2 + 1):
             gy = c + c2 - g
             mid = g + d - a
@@ -311,20 +259,16 @@ def check_eigenvector(family, max_label: int = 5) -> CheckReport:
     out_tops = (0, 1) if bot_f else tuple(range(max_label + 1))
     out_bots = (0, 1) if top_f else tuple(range(max_label + 1))
 
-    def raw(a, b, c, d):
-        return rmatrix_entry(fam, a, b, c, d, _X, _Y)
-
-    reg = _probe_registry([raw])
-    entry = _cached_ffrac(reg, raw)
+    entry = _cached(lambda a, b, c, d: factored_entry(fam, a, b, c, d, _X, _Y))
     report = CheckReport(name=f"eigenvector/{fam.value}", parameters={"max_label": max_label})
     for ot, ob in product(out_tops, out_bots):
-        total = reg.zero()
+        total = _ZERO
         for a in (0, 1) if top_f else range(ot + ob + 1):
             bb = ot + ob - a
             if bb < 0 or (bot_f and bb > 1):
                 continue
             total = total + entry(a, bb, ot, ob)
-        if not (total - reg.one()).is_zero():
+        if not (total - _ONE).is_zero():
             report.passed = False
             report.counterexample = {
                 "labels": {"out_top": ot, "out_bottom": ob},
@@ -341,15 +285,8 @@ def check_unitary(max_label: int = 4) -> CheckReport:
     identity on all label pairs."""
     fam = RMatrixFamily.COL_G_R
 
-    def first(a, b, c, d):
-        return rmatrix_entry(fam, a, b, c, d, _X, _Y)
-
-    def second(a, b, c, d):
-        return rmatrix_entry(fam, a, b, c, d, _Y, _X)
-
-    reg = _probe_registry([first, second])
-    f1 = _cached_ffrac(reg, first)
-    f2 = _cached_ffrac(reg, second)
+    f1 = _cached(lambda a, b, c, d: factored_entry(fam, a, b, c, d, _X, _Y))
+    f2 = _cached(lambda a, b, c, d: factored_entry(fam, a, b, c, d, _Y, _X))
     report = CheckReport(name="unitary/col-G-R", parameters={"max_label": max_label})
     rng = range(max_label + 1)
     cases = 0
@@ -357,7 +294,7 @@ def check_unitary(max_label: int = 4) -> CheckReport:
         if a + a2 != bt + bb:
             continue
         cases += 1
-        total = reg.zero()
+        total = _ZERO
         for t in range(a + a2 + 1):
             u = a + a2 - t
             term = f1(a, a2, t, u)
@@ -366,7 +303,7 @@ def check_unitary(max_label: int = 4) -> CheckReport:
             term = term * f2(t, u, bt, bb)
             if not term.is_zero():
                 total = total + term
-        expected = reg.one() if (bt, bb) == (a, a2) else reg.zero()
+        expected = _ONE if (bt, bb) == (a, a2) else _ZERO
         if not (total - expected).is_zero():
             report.passed = False
             report.counterexample = {
@@ -392,9 +329,8 @@ def _check_inversion(name, sites, occ_max, first, second) -> CheckReport:
     """The fermionic-row transfer matrix first = (spec, per-site spectral
     parameters) composed with the column transfer matrix second acts as the
     identity on every pair of occupancies up to occ_max."""
-    reg = _probe_registry(_site_weights(*first) + _site_weights(*second))
-    row1 = _row_scanner(reg, *first)
-    row2 = _row_scanner(reg, *second)
+    row1 = _row_scanner(*first)
+    row2 = _row_scanner(*second)
     report = CheckReport(name=name, parameters={"sites": sites, "occ_max": occ_max})
     occs = _occupancies(sites, occ_max)
     row2_cache: dict = {}
@@ -405,14 +341,14 @@ def _check_inversion(name, sites, occ_max, first, second) -> CheckReport:
             if not r1.is_zero():
                 rows1[w] = r1
         for u in occs:
-            total = reg.zero()
+            total = _ZERO
             for w, r1 in rows1.items():
                 r2 = row2_cache.get((w, u))
                 if r2 is None:
                     r2 = row2_cache[(w, u)] = row2(w, u)
                 if not r2.is_zero():
                     total = total + r1 * r2
-            expected = reg.one() if u == v else reg.zero()
+            expected = _ONE if u == v else _ZERO
             if not (total - expected).is_zero():
                 report.passed = False
                 report.counterexample = {
@@ -427,8 +363,8 @@ def _check_inversion(name, sites, occ_max, first, second) -> CheckReport:
 
 def _inhomogeneities(sites: int, with_z: bool):
     if with_z:
-        return [RationalFunction.var(f"z{j}") for j in range(1, sites + 1)]
-    return [ONE] * sites
+        return [as_ffrac(f"z{j}") for j in range(1, sites + 1)]
+    return [_ONE] * sites
 
 
 def check_inversion_G(sites: int = 3, occ_max: int = 3, with_z: bool = True) -> CheckReport:
@@ -439,7 +375,7 @@ def check_inversion_G(sites: int = 3, occ_max: int = 3, with_z: bool = True) -> 
         "inversion/groth-" + ("with-z" if with_z else "homogeneous"), sites, occ_max,
         (TransferSpec(WeightModel.ROW_G), [-_X / z for z in zs]),
         # x/(1+(alpha-beta)x) per site with its inhomogeneity z_j folded in
-        (TransferSpec(WeightModel.COL_G), [_X / (z + (ALPHA - BETA) * _X) for z in zs]),
+        (TransferSpec(WeightModel.COL_G), [_X / (z + (FORMAL_ALPHA - FORMAL_BETA) * _X) for z in zs]),
     )
 
 
@@ -478,9 +414,8 @@ def check_commutation(kind: str, sites: int = 2, occ_max: int = 2, degree_bound:
     if kind == "mixed":
         return _check_commutation_mixed(sites, occ_max, degree_bound)
     spec = TransferSpec(_COMM_MODELS[kind])
-    reg = _probe_registry(_site_weights(spec, [_X, _Y]))
-    rowx = _row_scanner(reg, spec, [_X] * sites)
-    rowy = _row_scanner(reg, spec, [_Y] * sites)
+    rowx = _row_scanner(spec, [_X] * sites)
+    rowy = _row_scanner(spec, [_Y] * sites)
     report = CheckReport(name=f"commutation/{kind}", parameters={"sites": sites, "occ_max": occ_max})
     occs = _occupancies(sites, occ_max)
     for v, u in product(occs, occs):
@@ -493,8 +428,8 @@ def check_commutation(kind: str, sites: int = 2, occ_max: int = 2, degree_bound:
         else:
             bound = sum(u)
             wcands = list(product(range(bound + 1), repeat=sites))
-        lhs = reg.zero()
-        rhs = reg.zero()
+        lhs = _ZERO
+        rhs = _ZERO
         for w in wcands:
             t1 = rowx(v, w)
             if not t1.is_zero():
@@ -535,7 +470,7 @@ def _check_commutation_mixed(sites: int, occ_max: int, degree_bound: int) -> Che
     spec_t = TransferSpec(WeightModel.ROW_DUAL_G, sites=nsites)
     spec_T = TransferSpec(
         WeightModel.ROW_G, dual=True, sites=nsites,
-        specialize=tuple(sorted(_NEG_AB.items())),
+        specialize=_NEG_AB,
     )
 
     def series_of(spec, x):

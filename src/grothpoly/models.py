@@ -8,8 +8,10 @@ at the top left exits at the bottom right carrying d, the line entering at
 the bottom left exits at the top right carrying c.  The first spectral
 argument is always attached to the line entering at the top.
 
-The deformation parameters alpha and beta stay formal (variables ``a`` and
-``b``); specializations happen by substitution at the caller.
+The tables are written once over factored fractions (see factored), with
+the deformation parameters alpha and beta passed in as values: formal
+(variables ``a`` and ``b``), negated formal, or exact constants.  The
+public vertex_weight and rmatrix_entry return RationalFunction values.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .algebra import ALPHA, BETA, RationalFunction, as_rf
+from .algebra import RationalFunction
+from .factored import ONE, ZERO, FFrac, as_ffrac
 
-ONE = RationalFunction.one()
-ZERO = RationalFunction.zero()
+#: the formal deformation parameters alpha and beta
+FORMAL_ALPHA = as_ffrac("a")
+FORMAL_BETA = as_ffrac("b")
 
 
 class LabelOutOfRange(ValueError):
@@ -74,48 +78,60 @@ def _check_labels(model: WeightModel, a: int, b: int, c: int, d: int) -> None:
 
 
 def vertex_weight(model: WeightModel, a: int, b: int, c: int, d: int, x) -> RationalFunction:
-    """Boltzmann weight of one vertex with spectral parameter x.
+    """Boltzmann weight of one vertex with spectral parameter x and formal
+    alpha, beta.
 
     Total on admissible labels: returns 0 whenever conservation a+b = c+d or
     the family's support condition fails.
     """
+    return factored_weight(model, a, b, c, d, as_ffrac(x)).to_rf()
+
+
+def factored_weight(
+    model: WeightModel, a: int, b: int, c: int, d: int, x: FFrac,
+    alpha: FFrac = FORMAL_ALPHA, beta: FFrac = FORMAL_BETA,
+) -> FFrac:
+    """vertex_weight as a reduced factored fraction, with alpha and beta
+    passed in as values (formal, negated formal or exact constants)."""
     _check_labels(model, a, b, c, d)
     if a + b != c + d:
         return ZERO
-    x = as_rf(x)
+    return _weight(model, a, b, c, d, x, alpha, beta).reduce()
 
+
+def _weight(model, a, b, c, d, x, alpha, beta) -> FFrac:
     if model is WeightModel.ROW_G:
         if a == b == c == d == 0:
             return ONE
         if a == 1:
-            return x / (ONE - ALPHA * x)
-        return (ONE + BETA * x) / (ONE - ALPHA * x)
+            return x / (ONE - alpha * x)
+        return (ONE + beta * x) / (ONE - alpha * x)
 
     if model is WeightModel.ROW_G_DUAL:
         # dual tiles: flip upside down and swap the 0/1 auxiliary labels
-        return vertex_weight(WeightModel.ROW_G, 1 - a, d, 1 - c, b, x)
+        return _weight(WeightModel.ROW_G, 1 - a, d, 1 - c, b, x, alpha, beta)
 
     if model is WeightModel.ROW_DUAL_G:
         if a == 0:
             return ONE
         if a > d:
-            return (ALPHA + BETA) ** (a - d - 1) * (x + ALPHA) * BETA**d
-        return BETA ** (a - 1) * x
+            return (alpha + beta) ** (a - d - 1) * (x + alpha) * beta**d
+        return beta ** (a - 1) * x
 
     if model is WeightModel.COL_G:
         if b < c:
             return ZERO
-        w = (x / (ONE - ALPHA * x)) ** a
+        w = (x / (ONE - alpha * x)) ** a
         if b > c:
-            w = w * (ONE + BETA * x) / (ONE - ALPHA * x)
+            w = w * (ONE + beta * x) / (ONE - alpha * x)
         return w
 
     if model is WeightModel.COL_DUAL_G:
         if a == 0:
             return ONE
         if a > d:
-            return (ALPHA + BETA) ** (a - d - 1) * BETA * (x + ALPHA) ** d
-        return x * (x + ALPHA) ** (a - 1)
+            return (alpha + beta) ** (a - d - 1) * beta * (x + alpha) ** d
+        return x * (x + alpha) ** (a - 1)
 
     if model is WeightModel.J_ROW:
         if a == 0:
@@ -125,14 +141,14 @@ def vertex_weight(model: WeightModel, a: int, b: int, c: int, d: int, x) -> Rati
         return x
 
     if model is WeightModel.J_ROW_DUAL:
-        return vertex_weight(WeightModel.J_ROW, 1 - a, d, 1 - c, b, x)
+        return _weight(WeightModel.J_ROW, 1 - a, d, 1 - c, b, x, alpha, beta)
 
     raise ValueError(f"unknown weight model {model!r}")
 
 
 def vertex_weight_inhom(model: WeightModel, a, b, c, d, x, z) -> RationalFunction:
     """Weight with a column inhomogeneity: spectral parameter x/z."""
-    return vertex_weight(model, a, b, c, d, as_rf(x) / as_rf(z))
+    return vertex_weight(model, a, b, c, d, as_ffrac(x) / as_ffrac(z))
 
 
 _FERMIONIC_R_LINES = {
@@ -167,31 +183,35 @@ def rmatrix_entry(
 ) -> RationalFunction:
     """Entry of an R-matrix; zero off conservation a+b = c+d.
 
-    Optional alpha/beta specializations are substituted into the entry; for
-    the bosonic-row r-matrix, beta = 0 is rejected (beta divides entries).
+    alpha and beta stay formal unless given as exact rationals; for the
+    bosonic-row r-matrix, beta = 0 is rejected (beta divides entries).
     """
+    return factored_entry(
+        family, a, b, c, d, as_ffrac(x), as_ffrac(y),
+        FORMAL_ALPHA if alpha is None else as_ffrac(Fraction(alpha)),
+        FORMAL_BETA if beta is None else as_ffrac(Fraction(beta)),
+    ).to_rf()
+
+
+def factored_entry(
+    family: RMatrixFamily, a: int, b: int, c: int, d: int, x: FFrac, y: FFrac,
+    alpha: FFrac = FORMAL_ALPHA, beta: FFrac = FORMAL_BETA,
+) -> FFrac:
+    """rmatrix_entry as a reduced factored fraction, with alpha and beta
+    passed in as values."""
     _check_rlabels(family, a, b, c, d)
-    if family is RMatrixFamily.ROW_DUAL_R and beta is not None and Fraction(beta) == 0:
+    if family is RMatrixFamily.ROW_DUAL_R and beta.is_zero():
         raise UndefinedAtBetaZero("the bosonic-row r-matrix is not defined at beta = 0")
-    w = _rmatrix_entry_formal(family, a, b, c, d, as_rf(x), as_rf(y))
-    subs = {}
-    if alpha is not None:
-        subs["a"] = as_rf(Fraction(alpha))
-    if beta is not None:
-        subs["b"] = as_rf(Fraction(beta))
-    if subs and not w.is_zero():
-        w = w.substitute(subs)
-    return w
-
-
-def _rmatrix_entry_formal(family, a, b, c, d, x, y) -> RationalFunction:
     if a + b != c + d:
         return ZERO
+    return _entry(family, a, b, c, d, x, y, alpha, beta).reduce()
 
+
+def _entry(family, a, b, c, d, x, y, alpha, beta) -> FFrac:
     if family is RMatrixFamily.FIVE_VERTEX_R:
         if a == b == c == d == 0 or a == b == c == d == 1:
             return ONE
-        cross = ((ONE + BETA * x) * y) / ((ONE + BETA * y) * x)
+        cross = ((ONE + beta * x) * y) / ((ONE + beta * y) * x)
         if (a, b, c, d) == (0, 1, 0, 1):
             return cross
         if (a, b, c, d) == (0, 1, 1, 0):
@@ -223,17 +243,17 @@ def _rmatrix_entry_formal(family, a, b, c, d, x, y) -> RationalFunction:
             return ONE
         if b == d:
             return y / x
-        tail = (ONE - y / x) * (ONE - y / BETA) ** (a - c - 1)
+        tail = (ONE - y / x) * (ONE - y / beta) ** (a - c - 1)
         if b == 0:
             return tail
-        return tail * (y / BETA)
+        return tail * (y / beta)
 
     if family is RMatrixFamily.COL_G_R:
         # prefactor uses the in-top label; support condition on (b, d)
         if b < d:
             return ZERO
-        X = x / (ONE - ALPHA * x)
-        Y = y / (ONE - ALPHA * y)
+        X = x / (ONE - alpha * x)
+        Y = y / (ONE - alpha * y)
         pref = (X / Y) ** a
         if b == d:
             return pref
@@ -245,7 +265,7 @@ def _rmatrix_entry_formal(family, a, b, c, d, x, y) -> RationalFunction:
             return ZERO
         if a == c == 0:
             return ONE
-        ratio = (y + ALPHA) / (x + ALPHA)
+        ratio = (y + alpha) / (x + alpha)
         if a == c:
             return (x / y) * ratio ** (1 - a)
         if a == 0:
@@ -261,8 +281,8 @@ def _rmatrix_entry_formal(family, a, b, c, d, x, y) -> RationalFunction:
         if a == 0 and c == 0 and b == 1 and d == 1:
             return x * y
         if a == 1:
-            return ONE - x * BETA
-        return x * BETA
+            return ONE - x * beta
+        return x * beta
 
     raise ValueError(f"unknown R-matrix family {family!r}")
 

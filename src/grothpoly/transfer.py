@@ -14,16 +14,18 @@ mun = lam, of products of single-row elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import MultiPoly, RationalFunction, as_rf
-from .factored import FactorRegistry, FFrac
+from .factored import ONE, ZERO, FFrac, as_ffrac
 from .models import (
     COLUMN_ENCODED_MODELS,
     DUAL_BOUNDARY_MODELS,
     FERMIONIC_MODELS,
-    LabelOutOfRange,
+    FORMAL_ALPHA,
+    FORMAL_BETA,
     WeightModel,
-    vertex_weight,
+    factored_weight,
 )
 from .partitions import (
     check_partition,
@@ -34,9 +36,6 @@ from .partitions import (
     subpartitions,
     vertical_strip_subs,
 )
-
-ONE = RationalFunction.one()
-ZERO = RationalFunction.zero()
 
 _DUAL_OF = {WeightModel.ROW_G: WeightModel.ROW_G_DUAL, WeightModel.J_ROW: WeightModel.J_ROW_DUAL}
 
@@ -52,18 +51,20 @@ class TooFewInhomogeneities(ValueError):
 @dataclass(frozen=True)
 class TransferSpec:
     """One transfer matrix: weight family, tile set, site count, and optional
-    per-site inhomogeneities and alpha/beta substitutions.  The dual tile set
-    also reverses a chain step: its factor is <nxt|T*(x)|prev>."""
+    per-site inhomogeneities and alpha/beta values.  The dual tile set also
+    reverses a chain step: its factor is <nxt|T*(x)|prev>."""
 
     model: WeightModel
     dual: bool = False
     sites: int | None = None
     inhomogeneities: tuple | None = None
-    specialize: tuple | None = None  # pairs (var, value), substituted per vertex
+    specialize: tuple | None = None  # pairs (var, value) for var in "a", "b"
 
     def __post_init__(self):
         if self.dual and self.model not in _DUAL_OF:
             raise ValueError(f"{self.model.value} has no dual tile set")
+        if {var for var, _ in self.specialize or ()} - {"a", "b"}:
+            raise ValueError("only alpha (a) and beta (b) can be specialized")
 
     @property
     def weight_model(self) -> WeightModel:
@@ -87,35 +88,39 @@ class TransferSpec:
             return len(lam)
         return lam[0] if lam else 0
 
-    def weight(self, site: int, a: int, b: int, c: int, d: int, x) -> RationalFunction:
-        """Vertex weight at one site: spectral parameter x over the site's
-        inhomogeneity, then the alpha/beta substitutions."""
-        if self.inhomogeneities is not None:
-            x = x / as_rf(self.inhomogeneities[site])
-        w = vertex_weight(self.weight_model, a, b, c, d, x)
-        if self.specialize and not w.is_zero():
-            w = w.substitute(dict(self.specialize))
-        return w
+    @cached_property
+    def _values(self):
+        """alpha, beta and the inhomogeneities as factored values."""
+        ab = {"a": FORMAL_ALPHA, "b": FORMAL_BETA, **dict(self.specialize or ())}
+        zs = self.inhomogeneities
+        return as_ffrac(ab["a"]), as_ffrac(ab["b"]), None if zs is None else tuple(map(as_ffrac, zs))
+
+    def vertex(self, site: int, a: int, b: int, c: int, d: int, x: FFrac) -> FFrac:
+        """Factored vertex weight at one site: spectral parameter x over the
+        site's inhomogeneity, alpha and beta passed in as values."""
+        alpha, beta, zs = self._values
+        if zs is not None:
+            x = x / zs[site]
+        return factored_weight(self.weight_model, a, b, c, d, x, alpha, beta)
 
 
-def scan_row(spec: TransferSpec, bottom, top, nsites: int, vertex, one):
-    """Product of vertex(site, a, b, c, d) over the unique single-row
-    configuration with the given bottom and top occupancies, scanned right to
-    left from the spec's boundary label; None when some label leaves the
-    admissible range or some weight is 0.  one is the product's unit, so the
-    same scan serves rational functions and factored fractions."""
+def scan_row(spec: TransferSpec, bottom, top, nsites: int, vertex):
+    """Product of the factored weights vertex(site, a, b, c, d) over the
+    unique single-row configuration with the given bottom and top
+    occupancies, scanned right to left from the spec's boundary label; 0
+    when some label leaves the admissible range."""
     fermionic = spec.fermionic
-    out = one
+    out = ONE
     c = spec.right_boundary
     for i in range(nsites - 1, -1, -1):
         b = bottom[i] if i < len(bottom) else 0
         d = top[i] if i < len(top) else 0
         a = c + d - b
         if a < 0 or (fermionic and a > 1):
-            return None
+            return ZERO
         w = vertex(i, a, b, c, d)
         if w.is_zero():
-            return None
+            return ZERO
         out = out * w
         c = a
     return out
@@ -124,12 +129,11 @@ def scan_row(spec: TransferSpec, bottom, top, nsites: int, vertex, one):
 def row_configuration_weight(spec: TransferSpec, bottom, top, x) -> RationalFunction:
     """Weight of the unique single-row configuration with the given bottom
     and top occupancies; 0 when some label leaves the admissible range."""
-    x = as_rf(x)
+    x = as_ffrac(x)
     nsites = max(len(bottom), len(top), spec.sites or 0)
-    w = scan_row(
-        spec, bottom, top, nsites, lambda i, a, b, c, d: spec.weight(i, a, b, c, d, x), ONE
-    )
-    return ZERO if w is None else w
+    return scan_row(
+        spec, bottom, top, nsites, lambda i, a, b, c, d: spec.vertex(i, a, b, c, d, x)
+    ).to_rf()
 
 
 def transfer_element(spec: TransferSpec, mu, lam, x) -> RationalFunction:
@@ -142,12 +146,6 @@ def transfer_element(spec: TransferSpec, mu, lam, x) -> RationalFunction:
     )
 
 
-_WEIGHT_PROBES = (
-    (0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 1, 1), (1, 0, 1, 0),
-    (2, 0, 0, 2), (1, 1, 0, 2), (2, 1, 1, 2), (0, 2, 1, 1),
-)
-
-
 def _chain_sum(spec: TransferSpec, steps_fn, lam, variables, inner=()):
     """Sum over chains inner = mu0 <= ... <= mun = lam of products of
     single-row elements, the k-th step at spectral parameter variables[k-1].
@@ -155,71 +153,44 @@ def _chain_sum(spec: TransferSpec, steps_fn, lam, variables, inner=()):
     Every element is built once, at a shared spectral parameter x0, from a
     per-call vertex cache (keyed by site only when there are
     inhomogeneities), and renamed to each step's variable; alpha and beta
-    are substituted once per cached vertex, never into a finished
-    polynomial.  Accumulation happens over a factored-denominator basis:
-    the only denominators are products of the weight-table atoms (probed at
-    x0 and renamed to each variable), so additions and products align
-    exponents instead of running polynomial gcds.
+    enter the weight tables as values, never substituted.  Weights and
+    elements are factored fractions over the process-wide atom table, so
+    additions and products align exponents instead of running polynomial
+    gcds.
     """
-    x0 = RationalFunction.var("x0")
+    x0 = as_ffrac("x0")
     site_key = spec.inhomogeneities is not None
-    probed: dict = {}
-    for i in range(len(spec.inhomogeneities)) if site_key else (0,):
-        for labels in _WEIGHT_PROBES:
-            try:
-                probed[(i, *labels)] = spec.weight(i, *labels, x0)
-            except LabelOutOfRange:
-                pass
-    reg0 = FactorRegistry(w.den for w in probed.values())
-    # atom j of reg0 renamed to variables[k] is atom at[k][j] of reg
-    index: dict = {}
-    at = [
-        [index.setdefault(atom.rename_vars({"x0": var}), len(index)) for atom in reg0.atoms]
-        for var in variables
-    ]
-    reg = FactorRegistry(atoms=list(index))
-
     vcache: dict = {}
 
     def vertex(i, a, b, c, d):
         key = (i if site_key else 0, a, b, c, d)
         got = vcache.get(key)
         if got is None:
-            w = probed.get(key)
-            if w is None:
-                w = spec.weight(i, a, b, c, d, x0)
-            got = vcache[key] = reg0.from_rf(w)
+            got = vcache[key] = spec.vertex(i, a, b, c, d, x0)
         return got
 
     nsites = max(spec.min_sites(lam), spec.sites or 0)
-    one0 = reg0.one()
     at_x0: dict = {}
 
     def elem(prev, mu, k):
         e = at_x0.get((prev, mu))
         if e is None:
             bottom, top = (mu, prev) if spec.dual else (prev, mu)
-            e = scan_row(
-                spec, spec.encode(bottom, nsites), spec.encode(top, nsites), nsites, vertex, one0
+            e = at_x0[(prev, mu)] = scan_row(
+                spec, spec.encode(bottom, nsites), spec.encode(top, nsites), nsites, vertex
             )
-            e = at_x0[(prev, mu)] = reg0.zero() if e is None else e
-        if e.is_zero():
-            return reg.zero()
-        powers = [0] * len(reg.atoms)
-        for j, p in zip(at[k - 1], e.powers):
-            powers[j] += p
-        return FFrac(reg, e.num.rename_vars({"x0": variables[k - 1]}), powers)
+        return e.rename_vars({"x0": variables[k - 1]})
 
     memo: dict = {}
 
     def value(mu, k):
         if k == 0:
-            return reg.one() if mu == inner else reg.zero()
+            return ONE if mu == inner else ZERO
         key = (mu, k)
         got = memo.get(key)
         if got is not None:
             return got
-        total = reg.zero()
+        total = ZERO
         for prev in steps_fn(mu):
             below = value(prev, k - 1)
             if below.is_zero():

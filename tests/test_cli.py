@@ -242,3 +242,11 @@ class TestDumpWeights:
         code = main(["dump-weights", "--family", "bogus"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["-1", "-3"])
+    def test_negative_max_label_is_usage_error(self, capsys, value):
+        code = main(["dump-weights", "--family", "col-G", "--max-label", value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

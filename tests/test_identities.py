@@ -41,7 +41,7 @@ class TestRll:
                 return w * RationalFunction.const(2)
             return w
 
-        monkeypatch.setattr(identities, "vertex_weight", broken)
+        monkeypatch.setattr(identities, "factored_weight", broken)
         rep = check_rll("row-G", aux_max=1, phys_max=2)
         assert not rep.passed
         assert rep.counterexample is not None
@@ -119,7 +119,7 @@ class TestEigenvector:
                 return e * RationalFunction.const(2)
             return e
 
-        monkeypatch.setattr(identities, "rmatrix_entry", broken)
+        monkeypatch.setattr(identities, "factored_entry", broken)
         rep = check_eigenvector(RMatrixFamily.COL_G_R, max_label=3)
         assert not rep.passed
         cex = rep.counterexample

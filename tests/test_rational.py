@@ -110,3 +110,27 @@ def test_sum_cancels_against_the_shared_factor():
     d = (x1 + a) * (x2 - x1)
     s = RationalFunction(x1, d) + RationalFunction(a, d)
     assert s.num == -ONE and s.den == x1 - x2
+
+
+def test_gcd_on_repeated_binomial_factors_stays_small():
+    """The public constructor on a cross sum whose denominators carry squared
+    binomials: poly_gcd once ran its PRS in x1, where those squares sit, and
+    spent about four million term products (tens of seconds)."""
+    n1, d1 = MultiPoly.const(Fraction(-2, 3)), (x1 - x2) ** 2 * (x1 * x2 + ONE)
+    n2 = (a**2 * x1**2 * x2 + a**2 * x1).scale(-2)
+    d2 = (x1 + a) ** 2 * (ONE - a * x1) ** 2
+    num, den = n1 * d2 + n2 * d1, d1 * d2
+    products = 0
+    mul = MultiPoly.__mul__
+
+    def counting_mul(p, q):
+        nonlocal products
+        if isinstance(q, MultiPoly):
+            products += len(p.terms) * len(q.terms)
+        return mul(p, q)
+
+    with mock.patch.object(MultiPoly, "__mul__", counting_mul):
+        r = RationalFunction(num, den)
+    assert products < 5000
+    # the two fractions were reduced and their denominators coprime
+    assert r.den == den and r.num == num
