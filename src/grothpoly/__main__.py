@@ -1,0 +1,8 @@
+"""``python -m grothpoly``: the command-line interface, with its exit codes."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,9 @@
 """Exact arithmetic foundation: sparse multivariate polynomials over the
 rationals, reduced rational functions, and truncated power series.
 
-All coefficients are arbitrary-precision rationals (``fractions.Fraction``);
+All coefficients are exact rationals in one canonical form: an ``int`` when
+the value is integral, a ``fractions.Fraction`` only when it is not.  Every
+division of coefficients goes through ``_quo``, which stays exact, so
 nothing in this module ever rounds.  Rational functions are normalized on
 construction (polynomial gcd removed, denominator content 1 with positive
 leading coefficient), so ``==`` is a structural comparison that decides
@@ -167,43 +169,94 @@ class Monomial:
 _ONE_MONO = Monomial()
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _coeff(c):
+    """Canonical coefficient: an int when c is integral, else a Fraction."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"not an exact rational: {c!r}")
 
 
-class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+def _quo(a, b):
+    """Exact quotient a/b of two coefficients (ints or Fractions), in
+    canonical form: ``//`` when the division is exact, a Fraction
+    otherwise; never ``int / int``, which would be a float."""
+    if type(a) is int:
+        if type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        a = Fraction(a)
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
-    __slots__ = ("terms", "_lt")
+
+def _has_fraction(t: dict) -> bool:
+    return Fraction in map(type, t.values())
+
+
+def _canonical(t: dict) -> bool:
+    """Turn the integral Fractions among t's values into ints, in place;
+    True when a Fraction is left."""
+    frac = False
+    for m, c in t.items():
+        if type(c) is not int:
+            if c.denominator == 1:
+                t[m] = c.numerator
+            else:
+                frac = True
+    return frac
+
+
+class MultiPoly:
+    """Sparse multivariate polynomial.
+
+    ``terms`` maps Monomial to a nonzero coefficient in canonical form: an
+    int when it is integral, a non-integral Fraction otherwise.  Since
+    ``3 == Fraction(3)`` and the two hash alike, equality and hashing do
+    not depend on the form.  ``_frac`` records whether some coefficient is
+    a Fraction, so arithmetic on all-int operands checks no term.
+    """
+
+    __slots__ = ("terms", "_lt", "_frac")
 
     def __init__(self, terms=None):
         t = {}
         if terms:
             for m, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = _as_fraction(c)
+                c = _coeff(c)
                 if c:
                     acc = t.get(m)
-                    c = c if acc is None else acc + c
+                    c = c if acc is None else _coeff(acc + c)
                     if c:
                         t[m] = c
                     elif acc is not None:
                         del t[m]
         self.terms = t
         self._lt = None
+        self._frac = _has_fraction(t)
+
+    @classmethod
+    def _of(cls, terms: dict, frac: bool) -> "MultiPoly":
+        """Trusted constructor: terms already canonical, frac whether any
+        coefficient is a Fraction."""
+        out = object.__new__(cls)
+        out.terms = terms
+        out._lt = None
+        out._frac = frac
+        return out
 
     # -- constructors -----------------------------------------------------
     @classmethod
     def const(cls, c) -> "MultiPoly":
-        c = _as_fraction(c)
+        c = _coeff(c)
         return cls({_ONE_MONO: c}) if c else cls()
 
     @classmethod
     def var(cls, name: str, power: int = 1) -> "MultiPoly":
-        return cls({Monomial({name: power}): Fraction(1)})
+        return cls({Monomial({name: power}): 1})
 
     # -- queries -----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -215,7 +268,7 @@ class MultiPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get(_ONE_MONO, Fraction(0))
+        return Fraction(self.terms.get(_ONE_MONO, 0))
 
     def variables(self) -> set:
         out = set()
@@ -249,14 +302,7 @@ class MultiPoly:
 
     def content(self) -> Fraction:
         """Positive rational c with self/c having coprime integer coefficients."""
-        if not self.terms:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = _igcd(num, abs(c.numerator))
-            den = _ilcm(den, c.denominator)
-        return Fraction(num, den)
+        return Fraction(_content(self))
 
     def sorted_terms(self):
         """Terms in canonical (descending graded-lex) order."""
@@ -279,18 +325,13 @@ class MultiPoly:
                     t[m] = s
                 else:
                     del t[m]
-        out = MultiPoly.__new__(MultiPoly)
-        out.terms = t
-        out._lt = None
-        return out
+        frac = self._frac or other._frac
+        return MultiPoly._of(t, frac and _canonical(t))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly.__new__(MultiPoly)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        out._lt = None
-        return out
+        return MultiPoly._of({m: -c for m, c in self.terms.items()}, self._frac)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -320,21 +361,26 @@ class MultiPoly:
                         t[m] = s
                     else:
                         del t[m]
-        out = MultiPoly.__new__(MultiPoly)
-        out.terms = t
-        out._lt = None
-        return out
+        frac = self._frac or other._frac
+        return MultiPoly._of(t, frac and _canonical(t))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "MultiPoly":
-        c = _as_fraction(c)
+        c = _coeff(c)
         if not c:
             return MultiPoly()
-        out = MultiPoly.__new__(MultiPoly)
-        out.terms = {m: cc * c for m, cc in self.terms.items()}
-        out._lt = None
-        return out
+        t = {m: cc * c for m, cc in self.terms.items()}
+        frac = self._frac or type(c) is not int
+        return MultiPoly._of(t, frac and _canonical(t))
+
+    def quo(self, c) -> "MultiPoly":
+        """Every coefficient divided exactly by the nonzero rational c."""
+        c = _coeff(c)
+        if c == 1:
+            return self
+        t = {m: _quo(cc, c) for m, cc in self.terms.items()}
+        return MultiPoly._of(t, _has_fraction(t))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -361,16 +407,13 @@ class MultiPoly:
 
     # -- mappings -----------------------------------------------------------
     def mul_monomial(self, mono: Monomial) -> "MultiPoly":
-        out = MultiPoly.__new__(MultiPoly)
-        out.terms = {m * mono: c for m, c in self.terms.items()}
-        out._lt = None
-        return out
+        return MultiPoly._of({m * mono: c for m, c in self.terms.items()}, self._frac)
 
     def rename_vars(self, mapping: dict) -> "MultiPoly":
         out = {}
         for m, c in self.terms.items():
             nm = Monomial({mapping.get(v, v): e for v, e in m.exps})
-            out[nm] = out.get(nm, Fraction(0)) + c
+            out[nm] = out.get(nm, 0) + c
         return MultiPoly(out)
 
     def evaluate(self, point: dict) -> Fraction:
@@ -379,7 +422,7 @@ class MultiPoly:
         for m, c in self.terms.items():
             v = c
             for name, e in m.exps:
-                v *= _as_fraction(point[name]) ** e
+                v *= _coeff(point[name]) ** e
             total += v
         return total
 
@@ -393,23 +436,20 @@ class MultiPoly:
                 if t is None:
                     keep.append((name, e))
                     continue
-                t = _as_fraction(t)
+                t = _coeff(t)
                 if t == 0:
-                    c = Fraction(0)
+                    c = 0
                     break
                 c = c * t**e
                 keep.append((name, e))
             if c:
                 nm = Monomial._sorted(tuple(keep))
-                s = out.get(nm, Fraction(0)) + c
+                s = out.get(nm, 0) + c
                 if s:
                     out[nm] = s
                 elif nm in out:
                     del out[nm]
-        p = MultiPoly.__new__(MultiPoly)
-        p.terms = out
-        p._lt = None
-        return p
+        return MultiPoly._of(out, _canonical(out))
 
     def substitute(self, bindings: dict) -> "RationalFunction":
         """Simultaneous substitution; values may be rational functions."""
@@ -448,7 +488,7 @@ class MultiPoly:
                 else:
                     rest[name] = e
             if rest:
-                term = term * RationalFunction(MultiPoly({Monomial(rest): Fraction(1)}))
+                term = term * RationalFunction(MultiPoly({Monomial(rest): 1}))
             total = total + term
         return total
 
@@ -507,7 +547,7 @@ def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     if d.is_zero():
         raise DivisionByZero("polynomial division by zero")
     if d.is_constant():
-        return p.scale(1 / d.constant_value())
+        return p.quo(d.constant_value())
     dm, dc = d.leading_term()
     tail = [(m, -c) for m, c in d.terms.items() if m != dm]
     r = dict(p.terms)
@@ -522,7 +562,7 @@ def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
         m = rm.divide(dm)
         if m is None:
             raise InexactDivision("division is not exact")
-        c = rc / dc
+        c = _quo(rc, dc)
         q[m] = c
         for tm, tc in tail:
             nm = tm * m
@@ -532,10 +572,7 @@ def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
                 heappush(heap, (_descending_key(nm), nm))
             else:
                 r[nm] = old + tc * c
-    out = MultiPoly.__new__(MultiPoly)
-    out.terms = q
-    out._lt = None
-    return out
+    return MultiPoly._of(q, _has_fraction(q))
 
 
 def poly_try_div(p: MultiPoly, d: MultiPoly):
@@ -545,10 +582,23 @@ def poly_try_div(p: MultiPoly, d: MultiPoly):
         return None
 
 
-def _unit(p: MultiPoly) -> Fraction:
+def _content(p: MultiPoly):
+    """MultiPoly.content in canonical form (an int when integral)."""
+    vals = p.terms.values()
+    if not p._frac:
+        return _igcd(*vals) if vals else 1
+    num = 0
+    den = 1
+    for c in vals:
+        num = _igcd(num, c.numerator)
+        den = _ilcm(den, c.denominator)
+    return num if den == 1 else Fraction(num, den)
+
+
+def _unit(p: MultiPoly):
     """Signed content: p / _unit(p) has coprime integer coefficients and a
     positive leading coefficient (p nonzero)."""
-    c = p.content()
+    c = _content(p)
     return -c if p.leading_term()[1] < 0 else c
 
 
@@ -556,7 +606,7 @@ def _make_primitive(p: MultiPoly) -> MultiPoly:
     """Scale to coprime integer coefficients with positive leading coefficient."""
     if p.is_zero():
         return p
-    return p.scale(1 / _unit(p))
+    return p.quo(_unit(p))
 
 
 def _prem(A: MultiPoly, B: MultiPoly, v: str) -> MultiPoly:
@@ -608,7 +658,7 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     mp, mq = monomial_content(p), monomial_content(q)
     mono = Monomial({v: min(e, mq.exponent(v)) for v, e in mp.exps})
     p1, q1 = _quo_monomial(p, mp), _quo_monomial(q, mq)
-    base = MultiPoly({mono: Fraction(1)})
+    base = MultiPoly({mono: 1})
     if p1.is_constant() or q1.is_constant():
         return base
     shared = p1.variables() & q1.variables()
@@ -665,7 +715,7 @@ def _unit_normal(num: MultiPoly, den: MultiPoly):
     c = _unit(den)
     if c == 1:
         return num, den
-    return num.scale(1 / c), den.scale(1 / c)
+    return num.quo(c), den.quo(c)
 
 
 def _gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -855,7 +905,7 @@ class RationalFunction:
         den = self.den.scale_vars(mapping)
         if den.is_zero():
             raise DivisionByZero("denominator vanishes identically after substitution")
-        if any(_as_fraction(t) == 0 for t in mapping.values()):
+        if any(_coeff(t) == 0 for t in mapping.values()):
             return RationalFunction(num, den)
         return RationalFunction._coprime(num, den)
 
@@ -1025,7 +1075,7 @@ def series_from_rf(f: RationalFunction, series_vars, degree_bound: int) -> Trunc
         raise NotExpandable("denominator constant term is not a scalar")
     c0 = d0.constant_value()
     # 1/(c0*(1+u)) = (1/c0) * (1 - u + u^2 - ...), u has no constant term
-    u = TruncatedSeries.from_poly(rest.scale(1 / c0), series_vars, degree_bound)
+    u = TruncatedSeries.from_poly(rest.quo(c0), series_vars, degree_bound)
     inv = TruncatedSeries.one(degree_bound)
     power = TruncatedSeries.one(degree_bound)
     sign = 1
@@ -1035,7 +1085,7 @@ def series_from_rf(f: RationalFunction, series_vars, degree_bound: int) -> Trunc
             break
         sign = -sign
         inv = inv + power.scale_poly(MultiPoly.const(sign))
-    return (num_s * inv).scale_poly(MultiPoly.const(Fraction(1, 1) / c0))
+    return (num_s * inv).scale_poly(MultiPoly.const(_quo(1, c0)))
 
 
 # ---------------------------------------------------------------------------
@@ -1043,7 +1093,7 @@ def series_from_rf(f: RationalFunction, series_vars, degree_bound: int) -> Trunc
 # ---------------------------------------------------------------------------
 
 
-def _coeff_str(c: Fraction) -> str:
+def _coeff_str(c) -> str:
     return str(c)
 
 
@@ -1123,7 +1173,7 @@ def poly_from_json(data) -> MultiPoly:
     terms = {}
     for entry in data:
         m = Monomial(entry["exps"])
-        terms[m] = terms.get(m, Fraction(0)) + Fraction(entry["coeff"])
+        terms[m] = terms.get(m, 0) + Fraction(entry["coeff"])
     return MultiPoly(terms)
 
 

@@ -19,8 +19,6 @@ Public API surfaces return RationalFunction / MultiPoly values.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import (
     DivisionByZero,
     MultiPoly,
@@ -78,16 +76,16 @@ def _tally(net: dict, powers, scale: int = 1) -> dict:
     return net
 
 
-def factor(p: MultiPoly) -> tuple[Fraction, tuple]:
+def factor(p: MultiPoly) -> tuple:
     """p = const * prod(atom ** k) as (const, ((id, k), ...)) sorted by id,
-    interning the atoms not seen before."""
+    interning the atoms not seen before; const is an int or a Fraction."""
     if p.is_zero():
         raise DivisionByZero("division by zero")
     mono = monomial_content(p)
     powers = {_atom_id(MultiPoly.var(v), True): e for v, e in mono.exps}
     q = _quo_monomial(p, mono)
     const = _unit(q)
-    q = q.scale(1 / const)
+    q = q.quo(const)
     proven = True
     if not q.is_constant() and q not in _IDS and not _degree_one(q):
         # the fallback: split off the known atoms by trial division, and
@@ -166,7 +164,7 @@ class FFrac:
         factored over the atom table."""
         const, over = factor(other.num)
         net = _tally(_tally(dict(self.powers), other.powers, -1), over)
-        return _settle(self.num.scale(1 / const), net)
+        return _settle(self.num.quo(const), net)
 
     def __pow__(self, k: int) -> "FFrac":
         if k < 0:
@@ -186,7 +184,7 @@ class FFrac:
                 got = _RENAMED[(i, key)] = factor(_ATOMS[i].rename_vars(mapping))
             const, over = got
             if const != 1:
-                num = num.scale(1 / const**k)
+                num = num.quo(const**k)
             _tally(net, over, k)
         return _settle(num, net)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 
 from .algebra import (
@@ -118,7 +117,7 @@ def laurent_reduce(p: MultiPoly) -> MultiPoly:
                     d[v] -= k
                     d[wv] -= k
         nm = Monomial(d)
-        out[nm] = out.get(nm, Fraction(0)) + c
+        out[nm] = out.get(nm, 0) + c
     return MultiPoly(out)
 
 
@@ -622,9 +621,7 @@ def check_cauchy_2(m: int, n: int, degree_bound: int | None = None) -> CheckRepo
     lhs0 = ZERO
     cases = 0
     for lam in enumerate_partitions(m * n, n, m):
-        Gc = groth_poly(conjugate(lam), m, variables=xs).substitute(
-            {"a": RationalFunction.const(0), "b": -ALPHA}
-        )
+        Gc = groth_poly(conjugate(lam), m, variables=xs, alpha=0, beta=-ALPHA)
         gl = dual_groth_poly(lam, n, variables=ys).scale_vars({"b": 0})
         lhs0 = lhs0 + Gc * RationalFunction(gl, _norm=False)
         cases += 1

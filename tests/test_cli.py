@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -250,3 +253,29 @@ class TestDumpWeights:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestModuleEntryPoint:
+    """python -m grothpoly keeps the exit-code contract."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "grothpoly", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        )
+
+    def test_compute_exits_zero(self):
+        proc = self.run_module(
+            "compute", "--kind", "g", "--lambda", "1,1", "--nvars", "2", "--format", "plain"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "x1*x2 + b*x1 + b*x2"
+
+    def test_unknown_suite_exits_two_with_one_error_line(self):
+        proc = self.run_module("verify", "--suite", "nope")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -21,7 +21,9 @@ from grothpoly.identities import (
     run_suite,
 )
 from grothpoly.models import RMatrixFamily, WeightModel, rmatrix_entry, vertex_weight
-from grothpoly.algebra import MultiPoly
+from grothpoly.algebra import ALPHA, MultiPoly
+from grothpoly.partitions import conjugate, enumerate_partitions
+from grothpoly.transfer import groth_poly
 
 
 class TestRll:
@@ -170,6 +172,25 @@ class TestCauchy:
         assert rep.passed, rep.counterexample
         rep = check_cauchy_2(2, 1)
         assert rep.passed, rep.counterexample
+
+    def test_binomial_kernel_substitutes_nothing(self, monkeypatch):
+        def refuse(self, bindings):
+            raise AssertionError("RationalFunction.substitute called")
+
+        monkeypatch.setattr(RationalFunction, "substitute", refuse)
+        rep = check_cauchy_2(2, 2)
+        assert rep.passed, rep.counterexample
+
+    def test_binomial_kernel_specializes_early(self):
+        # G at alpha = 0, beta = -alpha from the chain sum equals the
+        # finished formal G substituted afterwards, for every shape summed
+        xs = ["x1", "x2"]
+        for lam in enumerate_partitions(4, 2, 2):
+            mu = conjugate(lam)
+            late = groth_poly(mu, 2, variables=xs).substitute(
+                {"a": RationalFunction.const(0), "b": -ALPHA}
+            )
+            assert groth_poly(mu, 2, variables=xs, alpha=0, beta=-ALPHA) == late, lam
 
     def test_skew(self):
         rep = check_skew_cauchy((1,), (1,), 2, 2, degree_bound=3)

@@ -86,7 +86,7 @@ def ref_divmod(p: MultiPoly, d: MultiPoly):
         if m is None:
             out[lm] = lc
             continue
-        c = lc / dc
+        c = Fraction(lc) / dc
         quo[_frozen(m)] = quo.get(_frozen(m), Fraction(0)) + c
         for tm, tc in div.items():
             if tm == dm:
