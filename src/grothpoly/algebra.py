@@ -59,10 +59,11 @@ class Monomial:
     zero exponents never stored.
 
     The public constructor validates and sorts; products and quotients
-    merge two already-sorted tuples and skip both.
+    merge two already-sorted tuples and skip both.  The total degree is
+    stored: a product adds the operands' degrees, a quotient subtracts them.
     """
 
-    __slots__ = ("exps", "_key", "_hash")
+    __slots__ = ("exps", "_deg", "_key", "_hash")
 
     def __init__(self, exps=()):
         items = exps.items() if isinstance(exps, dict) else exps
@@ -75,20 +76,23 @@ class Monomial:
                 pairs.append((v, e))
         pairs.sort(key=lambda p: _VAR_KEYS[p[0]])
         self.exps = tuple(pairs)
+        self._deg = sum(e for _, e in pairs)
         self._key = None
         self._hash = None
 
     @classmethod
-    def _sorted(cls, pairs: tuple) -> "Monomial":
-        """Monomial from pairs already validated and in var_key order."""
+    def _sorted(cls, pairs: tuple, deg: int) -> "Monomial":
+        """Monomial from pairs already validated and in var_key order, of
+        total degree deg."""
         m = object.__new__(cls)
         m.exps = pairs
+        m._deg = deg
         m._key = None
         m._hash = None
         return m
 
     def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return self._deg
 
     def exponent(self, name: str) -> int:
         for v, e in self.exps:
@@ -101,7 +105,7 @@ class Monomial:
         if self._key is None:
             keys = _VAR_KEYS
             lex = tuple((-keys[v][0], -keys[v][1], e) for v, e in self.exps)
-            self._key = (self.degree(), lex)
+            self._key = (self._deg, lex)
         return self._key
 
     def __mul__(self, other: "Monomial") -> "Monomial":
@@ -127,7 +131,7 @@ class Monomial:
             else:
                 out.append(b[j])
                 j += 1
-        return Monomial._sorted(tuple(out) + a[i:] + b[j:])
+        return Monomial._sorted(tuple(out) + a[i:] + b[j:], self._deg + other._deg)
 
     def divide(self, other: "Monomial"):
         """Quotient by ``other``, or None when not divisible."""
@@ -150,7 +154,7 @@ class Monomial:
             vb, eb = b[j] if j < nb else (None, 0)
         if j < nb:
             return None
-        return Monomial._sorted(tuple(out))
+        return Monomial._sorted(tuple(out), self._deg - other._deg)
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
@@ -288,7 +292,7 @@ class MultiPoly:
         out = {}
         for m, c in self.terms.items():
             if m.exponent(name) == k:
-                out[Monomial._sorted(tuple(p for p in m.exps if p[0] != name))] = c
+                out[Monomial._sorted(tuple(p for p in m.exps if p[0] != name), m._deg - k)] = c
         return MultiPoly(out)
 
     def leading_term(self):
@@ -443,7 +447,7 @@ class MultiPoly:
                 c = c * t**e
                 keep.append((name, e))
             if c:
-                nm = Monomial._sorted(tuple(keep))
+                nm = Monomial._sorted(tuple(keep), m._deg)
                 s = out.get(nm, 0) + c
                 if s:
                     out[nm] = s
@@ -527,7 +531,7 @@ def _descending_key(m: Monomial) -> tuple:
     of ``key()``, flattened, each negated.  Within one degree no exponent
     list is a prefix of another, so negating every entry reverses the
     comparison."""
-    out = [-m.degree()]
+    out = [-m._deg]
     keys = _VAR_KEYS
     for v, e in m.exps:
         out += keys[v]
@@ -952,7 +956,8 @@ def split_monomial(m: Monomial, series_vars) -> tuple[Monomial, Monomial]:
     sv, cv = [], []
     for p in m.exps:
         (sv if p[0] in series_vars else cv).append(p)
-    return Monomial._sorted(tuple(sv)), Monomial._sorted(tuple(cv))
+    sdeg = sum(e for _, e in sv)
+    return Monomial._sorted(tuple(sv), sdeg), Monomial._sorted(tuple(cv), m._deg - sdeg)
 
 
 class TruncatedSeries:

@@ -124,16 +124,28 @@ def _lift(num: MultiPoly, powers: tuple, target: dict) -> MultiPoly:
 
 class FFrac:
     """num / prod(atom[i] ** k for (i, k) in powers); powers are sorted by
-    atom id, every k > 0."""
+    atom id, every k > 0.  Immutable: to_rf is computed once per instance
+    and kept, so a value shared across calls reduces only once."""
 
-    __slots__ = ("num", "powers")
+    __slots__ = ("num", "powers", "_rf")
 
     def __init__(self, num: MultiPoly, powers: tuple = ()):
         self.num = num
         self.powers = powers if num.terms else ()
+        self._rf = None
 
     def is_zero(self) -> bool:
         return not self.num.terms
+
+    def terms_held(self) -> int:
+        """Polynomial terms this value keeps alive: the numerator's, and
+        once to_rf is cached, the reduced denominator's and any numerator
+        the reduction made anew."""
+        n = len(self.num.terms)
+        rf = self._rf
+        if rf is not None:
+            n += len(rf.den.terms) + (0 if rf.num is self.num else len(rf.num.terms))
+        return n
 
     def __mul__(self, other: "FFrac") -> "FFrac":
         if not self.num.terms or not other.num.terms:
@@ -201,6 +213,8 @@ class FFrac:
         return FFrac(num, tuple(powers))
 
     def to_rf(self) -> RationalFunction:
+        if self._rf is not None:
+            return self._rf
         red = self.reduce()
         den = _POLY_ONE
         for i, k in red.powers:
@@ -208,8 +222,10 @@ class FFrac:
         if all(_PROVEN[i] for i, _ in red.powers):
             # irreducible atoms, none dividing the numerator: the fraction is
             # reduced, and the atoms' product is primitive and unit-normal
-            return RationalFunction._coprime(red.num, den)
-        return RationalFunction(red.num, den)
+            self._rf = RationalFunction._coprime(red.num, den)
+        else:
+            self._rf = RationalFunction(red.num, den)
+        return self._rf
 
 
 ONE = FFrac(MultiPoly.const(1))

@@ -143,17 +143,16 @@ def enumerate_partitions(max_size: int, max_length: int, max_width: int):
     """All partitions with size, length, and width within the bounds, each
     exactly once, in deterministic (size, then reverse-lex) order."""
     found = [[] for _ in range(max_size + 1)]
-
-    def rec(prefix, remaining, bound):
-        found[max_size - remaining].append(tuple(prefix))
-        if len(prefix) == max_length:
-            return
-        for v in range(min(bound, remaining), 0, -1):
-            prefix.append(v)
-            rec(prefix, remaining - v, v)
-            prefix.pop()
-
-    rec([], max_size, min(max_width, max_size))
+    # an explicit stack, not a recursive closure: the closure would refer
+    # to itself and live until a cyclic garbage collection
+    stack = [((), 0, min(max_width, max_size))]
+    while stack:
+        prefix, size, bound = stack.pop()
+        found[size].append(prefix)
+        if len(prefix) < max_length:
+            stack.extend(
+                (prefix + (v,), size + v, v) for v in range(1, min(bound, max_size - size) + 1)
+            )
     for bucket in found:
         bucket.sort(key=_partition_sort_key)
         yield from bucket
@@ -183,16 +182,12 @@ def vertical_strip_subs(lam: Partition):
 def subpartitions(lam: Partition):
     """All mu contained in lam."""
     out = []
-
-    def rec(prefix, i, bound):
-        out.append(tuple(prefix))
-        if i >= len(lam):
-            return
-        for v in range(min(bound, lam[i]), 0, -1):
-            prefix.append(v)
-            rec(prefix, i + 1, v)
-            prefix.pop()
-
-    rec([], 0, lam[0] if lam else 0)
+    stack = [()]  # an explicit stack, as in enumerate_partitions
+    while stack:
+        mu = stack.pop()
+        out.append(mu)
+        i = len(mu)
+        if i < len(lam):
+            stack.extend(mu + (v,) for v in range(1, min(mu[-1] if mu else lam[0], lam[i]) + 1))
     out.sort(key=_partition_sort_key)
     return out

@@ -13,6 +13,7 @@ mun = lam, of products of single-row elements.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,6 +39,16 @@ from .partitions import (
 )
 
 _DUAL_OF = {WeightModel.ROW_G: WeightModel.ROW_G_DUAL, WeightModel.J_ROW: WeightModel.J_ROW_DUAL}
+
+# The chain memo: the values of _chain_sum, shared by every call in the
+# process, least recently used first.  CHAIN_MEMO_TERMS bounds the
+# polynomial terms its values keep alive (FFrac.terms_held; a zero value
+# counts as one term, so the entry count is bounded too).  At 6,000 terms
+# it adds at most 1.7 MB (8.5%) to the peak RSS of a perfbench workload.
+# Like the atom table in factored, it takes no lock: one thread at a time.
+CHAIN_MEMO_TERMS = 6000
+_MEMO: OrderedDict = OrderedDict()  # key -> (value, terms charged)
+_MEMO_STATS = dict.fromkeys(("hits", "misses", "evictions", "stored_terms"), 0)
 
 
 class DifferencePropertyViolation(ValueError):
@@ -65,6 +76,15 @@ class TransferSpec:
             raise ValueError(f"{self.model.value} has no dual tile set")
         if {var for var, _ in self.specialize or ()} - {"a", "b"}:
             raise ValueError("only alpha (a) and beta (b) can be specialized")
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # hashing the specialized values walks their terms: do it once, as
+        # every chain-memo key holds the spec
+        return hash((self.model, self.dual, self.sites, self.inhomogeneities, self.specialize))
 
     @property
     def weight_model(self) -> WeightModel:
@@ -146,17 +166,65 @@ def transfer_element(spec: TransferSpec, mu, lam, x) -> RationalFunction:
     )
 
 
+def chain_memo_stats() -> dict:
+    """Counters of the chain memo since the process started or the memo was
+    last cleared: lookups that hit and that missed, entries evicted, and
+    the terms now stored.  They depend only on the requests served."""
+    return dict(_MEMO_STATS)
+
+
+def clear_chain_memo() -> None:
+    """Empty the chain memo and zero its counters."""
+    _MEMO.clear()
+    for name in _MEMO_STATS:
+        _MEMO_STATS[name] = 0
+
+
+def _memo_get(key):
+    got = _MEMO.get(key)
+    if got is None:
+        _MEMO_STATS["misses"] += 1
+        return None
+    _MEMO_STATS["hits"] += 1
+    _MEMO.move_to_end(key)
+    return got[0]
+
+
+def _memo_put(key, value: FFrac) -> None:
+    """Store value under key, or charge it again after its to_rf was
+    cached, then evict least recently used entries down to the budget.  A
+    value larger than the whole budget is not stored."""
+    old = _MEMO.pop(key, None)
+    stored = _MEMO_STATS["stored_terms"] - (old[1] if old else 0)
+    terms = max(1, value.terms_held())
+    if terms <= CHAIN_MEMO_TERMS:
+        _MEMO[key] = (value, terms)
+        stored += terms
+    while stored > CHAIN_MEMO_TERMS:
+        stored -= _MEMO.popitem(last=False)[1][1]
+        _MEMO_STATS["evictions"] += 1
+    _MEMO_STATS["stored_terms"] = stored
+
+
 def _chain_sum(spec: TransferSpec, steps_fn, lam, variables, inner=()):
     """Sum over chains inner = mu0 <= ... <= mun = lam of products of
     single-row elements, the k-th step at spectral parameter variables[k-1].
 
-    Every element is built once, at a shared spectral parameter x0, from a
-    per-call vertex cache (keyed by site only when there are
+    value(mu, k), the sum over the chains that reach mu in k steps, is a
+    whole answer to a smaller request: it depends only on the spec, the
+    step function, inner, the site count, mu and variables[:k].  A value is
+    looked up in the call's own dict, then in the process-wide chain memo
+    under that key, and computed only when both miss; a repeated request is
+    a hit at the top and does no chain arithmetic.
+
+    A computed value sums below * element over the steps into mu.  Every
+    element is built once per call, at a shared spectral parameter x0,
+    from the call's vertex weights (keyed by site only when there are
     inhomogeneities), and renamed to each step's variable; alpha and beta
-    enter the weight tables as values, never substituted.  Weights and
-    elements are factored fractions over the process-wide atom table, so
-    additions and products align exponents instead of running polynomial
-    gcds.
+    enter the weight tables as values, never substituted.  Weights,
+    elements and values are factored fractions over the process-wide atom
+    table, so additions and products align exponents instead of running
+    polynomial gcds, and a value means the same in every later call.
     """
     x0 = as_ffrac("x0")
     site_key = spec.inhomogeneities is not None
@@ -181,28 +249,41 @@ def _chain_sum(spec: TransferSpec, steps_fn, lam, variables, inner=()):
             )
         return e.rename_vars({"x0": variables[k - 1]})
 
+    base = (spec, steps_fn, inner, nsites)
+    prefixes = [tuple(variables[:k]) for k in range(len(variables) + 1)]
     memo: dict = {}
 
     def value(mu, k):
         if k == 0:
             return ONE if mu == inner else ZERO
-        key = (mu, k)
-        got = memo.get(key)
+        got = memo.get((mu, k))
         if got is not None:
             return got
-        total = ZERO
-        for prev in steps_fn(mu):
-            below = value(prev, k - 1)
-            if below.is_zero():
-                continue
-            e = elem(prev, mu, k)
-            if e.is_zero():
-                continue
-            total = total + below * e
-        memo[key] = total
-        return total
+        key = (base, mu, prefixes[k])
+        got = _memo_get(key)
+        if got is None:
+            got = ZERO
+            for prev in steps_fn(mu):
+                below = value(prev, k - 1)
+                if below.is_zero():
+                    continue
+                e = elem(prev, mu, k)
+                if e.is_zero():
+                    continue
+                got = got + below * e
+            _memo_put(key, got)
+        memo[(mu, k)] = got
+        return got
 
-    return value(lam, len(variables)).to_rf()
+    n = len(variables)
+    try:
+        top = value(lam, n)
+    finally:
+        del value  # value refers to itself: break the cycle now, not at a GC pass
+    rf = top.to_rf()
+    if n:
+        _memo_put((base, lam, prefixes[n]), top)
+    return rf
 
 
 def _default_vars(n: int, variables=None):
