@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +186,9 @@ class TestVerify:
         assert code == 0
         assert len(lines) == 36
         assert all(line["params"]["cases"] > 0 for line in lines), lines
+        # the recorded output, byte for byte: a refactor of identities
+        # must not move a single counterexample or parameter
+        assert out == (Path(__file__).parent / "data" / "verify_all.jsonl").read_text()
 
     def test_check_with_no_cases_is_usage_error(self, capsys, monkeypatch):
         from grothpoly import cli
