@@ -217,12 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run verification suites, JSON line per check")
     pv.add_argument("--suite", default="all", help="comma-separated suite names")
-    pv.add_argument("--aux-max", dest="aux_max", type=int, default=3)
-    pv.add_argument("--phys-max", dest="phys_max", type=int, default=4)
-    pv.add_argument("--sites", type=int, default=3)
-    pv.add_argument("--occ-max", dest="occ_max", type=int, default=3)
-    pv.add_argument("--max-label", dest="max_label", type=int, default=5)
-    pv.add_argument("--degree-bound", dest="degree_bound", type=int, default=4)
+    pv.add_argument("--aux-max", dest="aux_max", type=int, default=3, help="read by rll")
+    pv.add_argument("--phys-max", dest="phys_max", type=int, default=4, help="read by rll")
+    capped = "read by inversion, and by commutation capped at 2"
+    pv.add_argument("--sites", type=int, default=3, help=capped)
+    pv.add_argument("--occ-max", dest="occ_max", type=int, default=3, help=capped)
+    pv.add_argument("--max-label", dest="max_label", type=int, default=5, help="read by eigenvector and unitarity")
+    pv.add_argument("--degree-bound", dest="degree_bound", type=int, default=4, help=(
+        "read by cauchy/product-kernel and cauchy/skew only; commutation/mixed fixes 6, "
+        "cauchy/binomial-kernel 2mn+1, and the generalized and dual-sum-rule checks 3"))
 
     pd = sub.add_parser("dump-weights", help="emit one weight table as JSON")
     pd.add_argument("--family", required=True)

@@ -4,13 +4,15 @@ inversion relations between row and column transfer matrices, commutation
 relations, and the Cauchy identities.
 
 Every check compares canonical rational functions or exact truncated series;
-no floating point and no load-bearing random evaluation anywhere.  Failures
-carry a minimal counterexample (the offending labels and both sides).
+no floating point and no load-bearing random evaluation anywhere.  Every
+comparison goes through _mismatch, so failures carry one counterexample format
+(the offending labels and both sides); matrix products go through _compose.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -24,8 +26,9 @@ from .algebra import (
     poly_to_str,
     series_from_rf,
 )
-from .factored import ONE as _ONE, ZERO as _ZERO, as_ffrac
+from .factored import ONE as _ONE, ZERO as _ZERO, FFrac, as_ffrac
 from .models import (
+    FERMIONIC_MODELS,
     FORMAL_ALPHA,
     FORMAL_BETA,
     RMatrixFamily,
@@ -70,6 +73,12 @@ class CheckReport:
             "counterexample": self.counterexample,
         }
 
+    def fail(self, counterexample: dict) -> "CheckReport":
+        """Mark the check failed at counterexample and return the report."""
+        self.passed = False
+        self.counterexample = counterexample
+        return self
+
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -86,22 +95,57 @@ def _cached(fn):
 
 
 def _row_scanner(spec: TransferSpec, spectrals):
-    """Single-row configuration weight with per-site spectral parameters and
-    a shared per-site vertex cache; bottom/top are occupancy tuples."""
+    """Memoized single-row configuration weight with per-site spectral
+    parameters and a shared per-site vertex cache; bottom/top are tuples."""
     vertex = _cached(lambda i, a, b, c, d: spec.vertex(i, a, b, c, d, spectrals[i]))
-    return lambda bottom, top: scan_row(spec, bottom, top, len(spectrals), vertex)
+    return functools.cache(lambda bottom, top: scan_row(spec, bottom, top, len(spectrals), vertex))
 
 
-def _first_series_mismatch(lhs: TruncatedSeries, rhs: TruncatedSeries):
-    monos = set(lhs.terms) | set(rhs.terms)
-    for m in sorted(monos, key=Monomial.key):
-        if lhs.coefficient(m) != rhs.coefficient(m):
-            return {
-                "monomial": repr(m),
-                "lhs": poly_to_str(lhs.coefficient(m)),
-                "rhs": poly_to_str(rhs.coefficient(m)),
-            }
-    return None
+def _mismatch(lhs, rhs) -> dict | None:
+    """None when the two sides (factored fractions, rational functions or
+    truncated series) agree, else the counterexample: both sides, and for
+    series the first monomial in canonical order whose coefficients differ."""
+    if isinstance(lhs, FFrac):
+        if (lhs - rhs).is_zero():
+            return None
+        lhs, rhs = lhs.to_rf(), rhs.to_rf()
+    elif lhs == rhs:
+        return None
+    if isinstance(lhs, TruncatedSeries):
+        differ = [m for m in lhs.terms.keys() | rhs.terms.keys() if lhs.coefficient(m) != rhs.coefficient(m)]
+        m = min(differ, key=Monomial.key)
+        left, right = lhs.coefficient(m), rhs.coefficient(m)
+        return {"monomial": repr(m), "lhs": poly_to_str(left), "rhs": poly_to_str(right)}
+    return {"lhs": rf_to_str(lhs), "rhs": rf_to_str(rhs)}
+
+
+def _row(entry, v, cands):
+    """The nonzero entries of row v of a matrix, as (w, entry(v, w)) pairs
+    in the order of cands."""
+    return [(w, e) for w in cands if not (e := entry(v, w)).is_zero()]
+
+
+def _compose(firsts, second, u, total):
+    """total plus entry u of a row times a matrix: the sum of value * second(w, u)
+    over the row's nonzero (w, value) pairs in order, skipping zero seconds."""
+    for w, value in firsts:
+        s = second(w, u)
+        if not s.is_zero():
+            total = total + value * s
+    return total
+
+
+def _check_pairs(report: CheckReport, occs, sides) -> CheckReport:
+    """Compare lhs, rhs = sides(v)(u) on every pair of occupancies, bottom v
+    outermost so that sides(v) builds v's rows once; fail at the first mismatch."""
+    for v in occs:
+        at = sides(v)
+        for u in occs:
+            cex = _mismatch(*at(u))
+            if cex:
+                return report.fail({"labels": {"bottom": list(v), "top": list(u)}, **cex})
+    report.parameters["cases"] = len(occs) ** 2
+    return report
 
 
 def laurent_reduce(p: MultiPoly) -> MultiPoly:
@@ -134,22 +178,31 @@ class _RllPair:
     wx: WeightModel
     wy: WeightModel
     rfam: RMatrixFamily
-    x_fermionic: bool
-    y_fermionic: bool
     wx_ab: tuple = ()  # alpha, beta of the x-line tiles when not formal
 
 
 RLL_PAIRS = {
-    "row-G": _RllPair(WeightModel.ROW_G, WeightModel.ROW_G, RMatrixFamily.FIVE_VERTEX_R, True, True),
-    "row-dual-g": _RllPair(WeightModel.ROW_DUAL_G, WeightModel.ROW_DUAL_G, RMatrixFamily.ROW_DUAL_R, False, False),
-    "col-G": _RllPair(WeightModel.COL_G, WeightModel.COL_G, RMatrixFamily.COL_G_R, False, False),
-    "col-dual-g": _RllPair(WeightModel.COL_DUAL_G, WeightModel.COL_DUAL_G, RMatrixFamily.COL_DUAL_R, False, False),
-    "j": _RllPair(WeightModel.J_ROW, WeightModel.J_ROW, RMatrixFamily.J_R, True, True),
+    "row-G": _RllPair(WeightModel.ROW_G, WeightModel.ROW_G, RMatrixFamily.FIVE_VERTEX_R),
+    "row-dual-g": _RllPair(WeightModel.ROW_DUAL_G, WeightModel.ROW_DUAL_G, RMatrixFamily.ROW_DUAL_R),
+    "col-G": _RllPair(WeightModel.COL_G, WeightModel.COL_G, RMatrixFamily.COL_G_R),
+    "col-dual-g": _RllPair(WeightModel.COL_DUAL_G, WeightModel.COL_DUAL_G, RMatrixFamily.COL_DUAL_R),
+    "j": _RllPair(WeightModel.J_ROW, WeightModel.J_ROW, RMatrixFamily.J_R),
     "mixed": _RllPair(
         WeightModel.ROW_G_DUAL, WeightModel.ROW_DUAL_G, RMatrixFamily.MIXED_R,
-        True, False, wx_ab=(-FORMAL_ALPHA, -FORMAL_BETA),
+        wx_ab=(-FORMAL_ALPHA, -FORMAL_BETA),
     ),
 }
+
+
+def _lazy_product(factors):
+    """The product of fn(*labels) over the (fn, labels) factors, left to right,
+    or None at the first zero factor, before building any later one."""
+    values = []
+    for fn, labels in factors:
+        values.append(fn(*labels))
+        if values[-1].is_zero():
+            return None
+    return functools.reduce(operator.mul, values)
 
 
 def check_rll(pair: str, aux_max: int = 3, phys_max: int = 4) -> CheckReport:
@@ -161,14 +214,10 @@ def check_rll(pair: str, aux_max: int = 3, phys_max: int = 4) -> CheckReport:
     wy = _cached(lambda a, b, c, d: factored_weight(cfg.wy, a, b, c, d, _Y))
     rmat = _cached(lambda a, b, c, d: factored_entry(cfg.rfam, a, b, c, d, _X, _Y))
 
-    def xline_ok(v):
-        return v >= 0 and (not cfg.x_fermionic or v <= 1)
-
-    def yline_ok(v):
-        return v >= 0 and (not cfg.y_fermionic or v <= 1)
-
-    xr = (0, 1) if cfg.x_fermionic else tuple(range(aux_max + 1))
-    yr = (0, 1) if cfg.y_fermionic else tuple(range(aux_max + 1))
+    # a fermionic auxiliary line carries 0 or 1, a bosonic one any count
+    x_fermionic, y_fermionic = cfg.wx in FERMIONIC_MODELS, cfg.wy in FERMIONIC_MODELS
+    xr = (0, 1) if x_fermionic else tuple(range(aux_max + 1))
+    yr = (0, 1) if y_fermionic else tuple(range(aux_max + 1))
 
     report = CheckReport(
         name=f"rll/{pair}", parameters={"aux_max": aux_max, "phys_max": phys_max}
@@ -179,66 +228,36 @@ def check_rll(pair: str, aux_max: int = 3, phys_max: int = 4) -> CheckReport:
         if not 0 <= d <= phys_max:
             continue
         cases += 1
-        lhs = _ZERO
-        for g in range(a + a2 + 1):
-            gy = a + a2 - g
-            mid = g + b - c
-            if mid < 0 or not xline_ok(g) or not yline_ok(gy):
-                continue
-            t = rmat(a, a2, gy, g)
-            if t.is_zero():
-                continue
-            t = t * wx(g, b, c, mid)
-            if t.is_zero():
-                continue
-            t = t * wy(gy, mid, c2, d)
-            if t.is_zero():
-                continue
-            if pair == "col-G" and not (c + c2 - b <= g <= a2):
-                # the stated internal range for this pair: terms outside it
-                # must vanish, which the support conditions guarantee
-                report.passed = False
-                report.counterexample = {
-                    "kind": "internal-range",
-                    "labels": {"a": a, "a'": a2, "b": b, "c": c, "c'": c2, "d": d, "g": g},
-                    "lhs": rf_to_str(t.to_rf()),
-                    "rhs": "0",
-                }
-                return report
-            lhs = lhs + t
-        rhs = _ZERO
-        for g in range(c + c2 + 1):
-            gy = c + c2 - g
-            mid = g + d - a
-            if mid < 0 or not xline_ok(g) or not yline_ok(gy):
-                continue
-            t = wy(a2, b, gy, mid)
-            if t.is_zero():
-                continue
-            t = t * wx(a, mid, g, d)
-            if t.is_zero():
-                continue
-            t = t * rmat(g, gy, c2, c)
-            if t.is_zero():
-                continue
-            if pair == "col-G" and not (a + a2 - d <= g <= c2):
-                report.passed = False
-                report.counterexample = {
-                    "kind": "internal-range",
-                    "labels": {"a": a, "a'": a2, "b": b, "c": c, "c'": c2, "d": d, "g": g},
-                    "lhs": rf_to_str(t.to_rf()),
-                    "rhs": "0",
-                }
-                return report
-            rhs = rhs + t
-        if not (lhs - rhs).is_zero():
-            report.passed = False
-            report.counterexample = {
-                "labels": {"a": a, "a'": a2, "b": b, "c": c, "c'": c2, "d": d},
-                "lhs": rf_to_str(lhs.to_rf()),
-                "rhs": rf_to_str(rhs.to_rf()),
-            }
-            return report
+        labels = {"a": a, "a'": a2, "b": b, "c": c, "c'": c2, "d": d}
+        # each side sums over the internal x-line label g, with y-line label
+        # lines - g and internal physical label g + shift; lo <= g <= hi is
+        # the side's stated internal range
+        sides = []
+        for lines, shift, lo, hi, factors in (
+            (a + a2, b - c, c + c2 - b, a2, lambda g, gy, mid: (
+                (rmat, (a, a2, gy, g)), (wx, (g, b, c, mid)), (wy, (gy, mid, c2, d)))),
+            (c + c2, d - a, a + a2 - d, c2, lambda g, gy, mid: (
+                (wy, (a2, b, gy, mid)), (wx, (a, mid, g, d)), (rmat, (g, gy, c2, c)))),
+        ):
+            total = _ZERO
+            for g in range(lines + 1):
+                gy, mid = lines - g, g + shift
+                if mid < 0 or (x_fermionic and g > 1) or (y_fermionic and gy > 1):
+                    continue
+                t = _lazy_product(factors(g, gy, mid))
+                if t is None:
+                    continue
+                if pair == "col-G" and not lo <= g <= hi:
+                    # terms outside the stated internal range for this pair
+                    # must vanish, which the support conditions guarantee
+                    return report.fail(
+                        {"kind": "internal-range", "labels": {**labels, "g": g}, **_mismatch(t, _ZERO)}
+                    )
+                total = total + t
+            sides.append(total)
+        cex = _mismatch(*sides)
+        if cex:
+            return report.fail({"labels": labels, **cex})
     report.parameters["cases"] = cases
     return report
 
@@ -251,7 +270,7 @@ def check_rll(pair: str, aux_max: int = 3, phys_max: int = 4) -> CheckReport:
 def check_eigenvector(family, max_label: int = 5) -> CheckReport:
     """The all-states covector is a left eigenvector with eigenvalue 1: for
     fixed outgoing labels, the entries over all incoming labels sum to 1."""
-    fam = RMatrixFamily(family) if not isinstance(family, RMatrixFamily) else family
+    fam = RMatrixFamily(family)
     if fam is RMatrixFamily.MIXED_R:
         raise ValueError("the mixed R-matrix is covered by its own RLL check")
     top_f, bot_f = rmatrix_line_types(fam)
@@ -267,14 +286,9 @@ def check_eigenvector(family, max_label: int = 5) -> CheckReport:
             if bb < 0 or (bot_f and bb > 1):
                 continue
             total = total + entry(a, bb, ot, ob)
-        if not (total - _ONE).is_zero():
-            report.passed = False
-            report.counterexample = {
-                "labels": {"out_top": ot, "out_bottom": ob},
-                "lhs": rf_to_str(total.to_rf()),
-                "rhs": "1",
-            }
-            return report
+        cex = _mismatch(total, _ONE)
+        if cex:
+            return report.fail({"labels": {"out_top": ot, "out_bottom": ob}, **cex})
     report.parameters["cases"] = len(out_tops) * len(out_bots)
     return report
 
@@ -284,33 +298,23 @@ def check_unitary(max_label: int = 4) -> CheckReport:
     identity on all label pairs."""
     fam = RMatrixFamily.COL_G_R
 
-    f1 = _cached(lambda a, b, c, d: factored_entry(fam, a, b, c, d, _X, _Y))
-    f2 = _cached(lambda a, b, c, d: factored_entry(fam, a, b, c, d, _Y, _X))
+    # entries indexed by (top, bottom) label pairs in and out
+    f1 = _cached(lambda v, w: factored_entry(fam, *v, *w, _X, _Y))
+    f2 = _cached(lambda w, u: factored_entry(fam, *w, *u, _Y, _X))
     report = CheckReport(name="unitary/col-G-R", parameters={"max_label": max_label})
     rng = range(max_label + 1)
     cases = 0
-    for a, a2, bt, bb in product(rng, rng, rng, rng):
-        if a + a2 != bt + bb:
-            continue
-        cases += 1
-        total = _ZERO
-        for t in range(a + a2 + 1):
-            u = a + a2 - t
-            term = f1(a, a2, t, u)
-            if term.is_zero():
+    for v in product(rng, rng):
+        n = sum(v)
+        firsts = _row(f1, v, [(t, n - t) for t in range(n + 1)])
+        for u in product(rng, rng):
+            if sum(u) != n:
                 continue
-            term = term * f2(t, u, bt, bb)
-            if not term.is_zero():
-                total = total + term
-        expected = _ONE if (bt, bb) == (a, a2) else _ZERO
-        if not (total - expected).is_zero():
-            report.passed = False
-            report.counterexample = {
-                "labels": {"in_top": a, "in_bottom": a2, "out_top": bt, "out_bottom": bb},
-                "lhs": rf_to_str(total.to_rf()),
-                "rhs": "1" if (bt, bb) == (a, a2) else "0",
-            }
-            return report
+            cases += 1
+            cex = _mismatch(_compose(firsts, f2, u, _ZERO), _ONE if u == v else _ZERO)
+            if cex:
+                labels = {"in_top": v[0], "in_bottom": v[1], "out_top": u[0], "out_bottom": u[1]}
+                return report.fail({"labels": labels, **cex})
     report.parameters["cases"] = cases
     return report
 
@@ -320,72 +324,45 @@ def check_unitary(max_label: int = 4) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _fermionic_mid_range(v_i):
-    return range(max(0, v_i - 1), v_i + 2)
+def _fermionic_mids(v):
+    """Every occupancy a fermionic row can reach from v: within 1 per site."""
+    return list(product(*(range(max(0, vi - 1), vi + 2) for vi in v)))
 
 
-def _check_inversion(name, sites, occ_max, first, second) -> CheckReport:
-    """The fermionic-row transfer matrix first = (spec, per-site spectral
-    parameters) composed with the column transfer matrix second acts as the
-    identity on every pair of occupancies up to occ_max."""
-    row1 = _row_scanner(*first)
-    row2 = _row_scanner(*second)
+def _check_inversion(kind, sites, occ_max, with_z, row_model, col_spec, col_x) -> CheckReport:
+    """The fermionic-row transfer matrix of row_model at -x composed with the
+    column transfer matrix col_spec at col_x(z) acts as the identity on
+    every pair of occupancies up to occ_max, where z is the site's
+    inhomogeneity z_j (1 unless with_z)."""
+    zs = [as_ffrac(f"z{j}") for j in range(1, sites + 1)] if with_z else [_ONE] * sites
+    row1 = _row_scanner(TransferSpec(row_model), [-_X / z for z in zs])
+    row2 = _row_scanner(col_spec, [col_x(z) for z in zs])
+
+    def sides(v):
+        firsts = _row(row1, v, _fermionic_mids(v))
+        return lambda u: (_compose(firsts, row2, u, _ZERO), _ONE if u == v else _ZERO)
+
+    name = f"inversion/{kind}-" + ("with-z" if with_z else "homogeneous")
     report = CheckReport(name=name, parameters={"sites": sites, "occ_max": occ_max})
-    occs = _occupancies(sites, occ_max)
-    row2_cache: dict = {}
-    for v in occs:
-        rows1 = {}
-        for w in product(*(_fermionic_mid_range(vi) for vi in v)):
-            r1 = row1(v, w)
-            if not r1.is_zero():
-                rows1[w] = r1
-        for u in occs:
-            total = _ZERO
-            for w, r1 in rows1.items():
-                r2 = row2_cache.get((w, u))
-                if r2 is None:
-                    r2 = row2_cache[(w, u)] = row2(w, u)
-                if not r2.is_zero():
-                    total = total + r1 * r2
-            expected = _ONE if u == v else _ZERO
-            if not (total - expected).is_zero():
-                report.passed = False
-                report.counterexample = {
-                    "labels": {"bottom": list(v), "top": list(u)},
-                    "lhs": rf_to_str(total.to_rf()),
-                    "rhs": "1" if u == v else "0",
-                }
-                return report
-    report.parameters["cases"] = len(occs) ** 2
-    return report
-
-
-def _inhomogeneities(sites: int, with_z: bool):
-    if with_z:
-        return [as_ffrac(f"z{j}") for j in range(1, sites + 1)]
-    return [_ONE] * sites
+    return _check_pairs(report, _occupancies(sites, occ_max), sides)
 
 
 def check_inversion_G(sites: int = 3, occ_max: int = 3, with_z: bool = True) -> CheckReport:
     """Row G-transfer at -x composed with the column G-transfer at the
     reparameterized argument x/(1 + (alpha-beta) x) acts as the identity."""
-    zs = _inhomogeneities(sites, with_z)
     return _check_inversion(
-        "inversion/groth-" + ("with-z" if with_z else "homogeneous"), sites, occ_max,
-        (TransferSpec(WeightModel.ROW_G), [-_X / z for z in zs]),
+        "groth", sites, occ_max, with_z, WeightModel.ROW_G, TransferSpec(WeightModel.COL_G),
         # x/(1+(alpha-beta)x) per site with its inhomogeneity z_j folded in
-        (TransferSpec(WeightModel.COL_G), [_X / (z + (FORMAL_ALPHA - FORMAL_BETA) * _X) for z in zs]),
+        lambda z: _X / (z + (FORMAL_ALPHA - FORMAL_BETA) * _X),
     )
 
 
 def check_inversion_dual(sites: int = 3, occ_max: int = 3, with_z: bool = True) -> CheckReport:
     """Fermionic-row transfer at -x composed with the column dual-g transfer
     specialized to (alpha, beta) = (0, 1) acts as the identity."""
-    zs = _inhomogeneities(sites, with_z)
     return _check_inversion(
-        "inversion/dual-" + ("with-z" if with_z else "homogeneous"), sites, occ_max,
-        (TransferSpec(WeightModel.J_ROW), [-_X / z for z in zs]),
-        (TransferSpec(WeightModel.COL_DUAL_G, specialize=(("a", ZERO), ("b", ONE))), [_X / z for z in zs]),
+        "dual", sites, occ_max, with_z, WeightModel.J_ROW,
+        TransferSpec(WeightModel.COL_DUAL_G, specialize=(("a", ZERO), ("b", ONE))), lambda z: _X / z,
     )
 
 
@@ -415,41 +392,17 @@ def check_commutation(kind: str, sites: int = 2, occ_max: int = 2, degree_bound:
     spec = TransferSpec(_COMM_MODELS[kind])
     rowx = _row_scanner(spec, [_X] * sites)
     rowy = _row_scanner(spec, [_Y] * sites)
+    # a bosonic row into u starts at 0 on the right, so every suffix sum of
+    # its bottom w is at most u's: no part of w exceeds u's total
+    boxes = list(product(range(sites * occ_max + 1), repeat=sites))
+
+    def sides(v):
+        mids = _fermionic_mids(v) if spec.fermionic else boxes
+        xs, ys = _row(rowx, v, mids), _row(rowy, v, mids)
+        return lambda u: (_compose(xs, rowy, u, _ZERO), _compose(ys, rowx, u, _ZERO))
+
     report = CheckReport(name=f"commutation/{kind}", parameters={"sites": sites, "occ_max": occ_max})
-    occs = _occupancies(sites, occ_max)
-    for v, u in product(occs, occs):
-        if spec.fermionic:
-            wcands = [
-                w
-                for w in product(*(_fermionic_mid_range(vi) for vi in v))
-                if all(abs(w[i] - u[i]) <= 1 for i in range(sites))
-            ]
-        else:
-            bound = sum(u)
-            wcands = list(product(range(bound + 1), repeat=sites))
-        lhs = _ZERO
-        rhs = _ZERO
-        for w in wcands:
-            t1 = rowx(v, w)
-            if not t1.is_zero():
-                t2 = rowy(w, u)
-                if not t2.is_zero():
-                    lhs = lhs + t1 * t2
-            s1 = rowy(v, w)
-            if not s1.is_zero():
-                s2 = rowx(w, u)
-                if not s2.is_zero():
-                    rhs = rhs + s1 * s2
-        if not (lhs - rhs).is_zero():
-            report.passed = False
-            report.counterexample = {
-                "labels": {"bottom": list(v), "top": list(u)},
-                "lhs": rf_to_str(lhs.to_rf()),
-                "rhs": rf_to_str(rhs.to_rf()),
-            }
-            return report
-    report.parameters["cases"] = len(occs) ** 2
-    return report
+    return _check_pairs(report, _occupancies(sites, occ_max), sides)
 
 
 def _dominates(w, v) -> bool:
@@ -462,6 +415,29 @@ def _dominates(w, v) -> bool:
     return True
 
 
+def _near(u, nsites: int, budget: int) -> list:
+    """Occupancies w of nsites sites, per site within 1 of u (padded), whose
+    net box count over u is at most budget (terms beyond that bound start
+    at x-degree above the truncation), in lexicographic order."""
+    out = []
+    stack = [((), 0)]
+    while stack:
+        prefix, diff = stack.pop()
+        i = len(prefix)
+        if i == nsites:
+            if diff <= budget:
+                out.append(prefix)
+            continue
+        ui = u[i] if i < len(u) else 0
+        # pushed in reverse, so prefixes pop in increasing order; past the
+        # end of u the count only grows, so a prefix over budget is dropped
+        for wi in range(ui + 1, max(0, ui - 1) - 1, -1):
+            ndiff = diff + (i + 1) * (wi - ui)
+            if i < len(u) or ndiff <= budget:
+                stack.append((prefix + (wi,), ndiff))
+    return out
+
+
 def _check_commutation_mixed(sites: int, occ_max: int, degree_bound: int) -> CheckReport:
     D = degree_bound
     nsites = sites + D
@@ -471,91 +447,43 @@ def _check_commutation_mixed(sites: int, occ_max: int, degree_bound: int) -> Che
         WeightModel.ROW_G, dual=True, sites=nsites,
         specialize=_NEG_AB,
     )
+    zero = TruncatedSeries(D)
 
-    def series_of(spec, x):
-        cache: dict = {}
-
+    def series_of(spec, x, admissible):
         def get(bottom, top):
-            if (bottom, top) not in cache:
-                w = row_configuration_weight(spec, bottom, top, x)
-                cache[(bottom, top)] = None if w.is_zero() else series_from_rf(w, svars, D)
-            return cache[(bottom, top)]
+            if not admissible(bottom, top):
+                return zero
+            w = row_configuration_weight(spec, bottom, top, x)
+            return zero if w.is_zero() else series_from_rf(w, svars, D)
 
-        return get
+        return functools.cache(get)
 
-    t_series = series_of(spec_t, _Y)
-    T_series = series_of(spec_T, _X)
+    # a bosonic row's top must dominate its bottom
+    t_series = series_of(spec_t, _Y, lambda bottom, top: _dominates(top, bottom))
+    T_series = series_of(spec_T, _X, lambda bottom, top: True)
+
+    occs = _occupancies(sites, occ_max)
+    near = {u: _near(u, nsites, D) for u in occs}
+    # lhs: t(y) times the columns of T*(x), built once per top u; rhs:
+    # T*(x) into the w near v that fit under some top, the fullest one
+    cols = {u: _row(lambda u, w: T_series(w, u), u, near[u]) for u in occs}
+    full = (occ_max,) * sites
     one_minus_xy = TruncatedSeries.from_poly(
         MultiPoly.const(1) - MultiPoly.var("x1") * MultiPoly.var("y1"), svars, D
     )
+
+    def sides(v):
+        Ts = _row(T_series, v, [w for w in near[v] if _dominates(full, w)])
+        return lambda u: (
+            _compose(cols[u], lambda w, v: t_series(v, w), v, zero) * one_minus_xy,
+            _compose(Ts, t_series, u, zero),
+        )
+
     report = CheckReport(
         name="commutation/mixed",
         parameters={"sites": sites, "occ_max": occ_max, "degree_bound": D},
     )
-    occs = _occupancies(sites, occ_max)
-
-    def wcands(u, budget):
-        """Occupancies per-site within 1 of u (padded), with the net box
-        count over u bounded by the series degree (terms beyond that bound
-        start at x-degree above the truncation)."""
-        upad = [u[i] if i < len(u) else 0 for i in range(nsites)]
-        # largest box deficit still achievable from site i onward
-        suffix_deficit = [0] * (nsites + 1)
-        for i in range(nsites - 1, -1, -1):
-            suffix_deficit[i] = suffix_deficit[i + 1] + (i + 1) * min(upad[i], 1)
-        out = []
-
-        def rec(prefix, i, diff):
-            if i == nsites:
-                if diff <= budget:
-                    out.append(tuple(prefix))
-                return
-            ui = upad[i]
-            for wi in range(max(0, ui - 1), ui + 2):
-                ndiff = diff + (i + 1) * (wi - ui)
-                if ndiff - suffix_deficit[i + 1] > budget:
-                    continue
-                prefix.append(wi)
-                rec(prefix, i + 1, ndiff)
-                prefix.pop()
-
-        rec([], 0, 0)
-        return out
-
-    zero_series = TruncatedSeries(D)
-    for v, u in product(occs, occs):
-        lhs = zero_series
-        for w in wcands(u, D):
-            if not _dominates(w, v):
-                continue
-            ts = t_series(v, w)
-            if ts is None:
-                continue
-            Ts = T_series(w, u)
-            if Ts is None:
-                continue
-            lhs = lhs + ts * Ts
-        lhs = lhs * one_minus_xy
-        rhs = zero_series
-        for w in wcands(v, D):
-            if not _dominates(u, w):
-                continue
-            Ts = T_series(v, w)
-            if Ts is None:
-                continue
-            ts = t_series(w, u)
-            if ts is None:
-                continue
-            rhs = rhs + Ts * ts
-        if lhs != rhs:
-            report.passed = False
-            report.counterexample = {
-                "labels": {"bottom": list(v), "top": list(u)},
-                **(_first_series_mismatch(lhs, rhs) or {}),
-            }
-            return report
-    report.parameters["cases"] = len(occs) ** 2
-    return report
+    return _check_pairs(report, occs, sides)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +495,9 @@ def _vars(prefix: str, n: int):
     return [f"{prefix}{i}" for i in range(1, n + 1)]
 
 
-def _geometric_kernel(xs, ys, D) -> TruncatedSeries:
-    sv = set(xs) | set(ys)
+def _geometric_kernel(xs, ys, sv, D) -> TruncatedSeries:
+    """The product kernel, prod 1/(1 - x y) over x in xs and y in ys, as a
+    series in the variables sv truncated at degree D."""
     out = TruncatedSeries.one(D)
     for xv in xs:
         for yv in ys:
@@ -584,21 +513,17 @@ def check_cauchy_1(m: int, n: int, degree_bound: int = 4) -> CheckReport:
     xs, ys = _vars("x", m), _vars("y", n)
     sv = set(xs) | set(ys)
     lhs = TruncatedSeries(D)
-    cases = 0
-    for lam in enumerate_partitions(D, m, D):
+    lams = list(enumerate_partitions(D, m, D))
+    for lam in lams:
         G = groth_poly(lam, m, variables=xs).scale_vars({"a": -1, "b": -1})
         g = dual_groth_poly(lam, n, variables=ys)
         lhs = lhs + series_from_rf(G, sv, D) * TruncatedSeries.from_poly(g, sv, D)
-        cases += 1
-    rhs = _geometric_kernel(xs, ys, D)
     report = CheckReport(
         name="cauchy/product-kernel",
-        parameters={"m": m, "n": n, "degree_bound": D, "cases": cases},
+        parameters={"m": m, "n": n, "degree_bound": D, "cases": len(lams)},
     )
-    if lhs != rhs:
-        report.passed = False
-        report.counterexample = _first_series_mismatch(lhs, rhs)
-    return report
+    cex = _mismatch(lhs, _geometric_kernel(xs, ys, sv, D))
+    return report.fail(cex) if cex else report
 
 
 def check_cauchy_2(m: int, n: int, degree_bound: int | None = None) -> CheckReport:
@@ -612,6 +537,10 @@ def check_cauchy_2(m: int, n: int, degree_bound: int | None = None) -> CheckRepo
     """
     D = degree_bound if degree_bound is not None else 2 * m * n + 1
     xs, ys = _vars("x", m), _vars("y", n)
+    binom = MultiPoly.const(1)
+    for xv in xs:
+        for yv in ys:
+            binom = binom * (MultiPoly.const(1) + MultiPoly.var(xv) * MultiPoly.var(yv))
     report = CheckReport(
         name="cauchy/binomial-kernel",
         parameters={"m": m, "n": n, "degree_bound": D, "exact_at_beta_zero": True},
@@ -619,28 +548,21 @@ def check_cauchy_2(m: int, n: int, degree_bound: int | None = None) -> CheckRepo
 
     # exact finite identity at beta = 0
     lhs0 = ZERO
-    cases = 0
-    for lam in enumerate_partitions(m * n, n, m):
+    lams = list(enumerate_partitions(m * n, n, m))
+    for lam in lams:
         Gc = groth_poly(conjugate(lam), m, variables=xs, alpha=0, beta=-ALPHA)
         gl = dual_groth_poly(lam, n, variables=ys).scale_vars({"b": 0})
         lhs0 = lhs0 + Gc * RationalFunction(gl, _norm=False)
-        cases += 1
-    report.parameters["cases"] = cases
-    rhs0 = ONE
-    for xv in xs:
-        for yv in ys:
-            rhs0 = rhs0 * (ONE + RationalFunction.var(xv) * RationalFunction.var(yv))
-    if lhs0 != rhs0:
-        report.passed = False
-        report.counterexample = {
-            "part": "exact-beta-zero", "lhs": rf_to_str(lhs0), "rhs": rf_to_str(rhs0)
-        }
-        return report
+    report.parameters["cases"] = len(lams)
+    cex = _mismatch(lhs0, RationalFunction(binom, _norm=False))
+    if cex:
+        return report.fail({"part": "exact-beta-zero", **cex})
 
     # truncated series at formal alpha, beta
     sv = set(xs) | set(ys)
     lhs = TruncatedSeries(D)
-    for lam in enumerate_partitions(D, D, m):
+    lams = list(enumerate_partitions(D, D, m))
+    for lam in lams:
         G = (
             groth_poly(conjugate(lam), m, variables=xs)
             .rename_vars({"a": "b", "b": "a"})
@@ -648,17 +570,9 @@ def check_cauchy_2(m: int, n: int, degree_bound: int | None = None) -> CheckRepo
         )
         g = dual_groth_poly(lam, n, variables=ys)
         lhs = lhs + series_from_rf(G, sv, D) * TruncatedSeries.from_poly(g, sv, D)
-        cases += 1
-    report.parameters["cases"] = cases
-    binom = MultiPoly.const(1)
-    for xv in xs:
-        for yv in ys:
-            binom = binom * (MultiPoly.const(1) + MultiPoly.var(xv) * MultiPoly.var(yv))
-    rhs = TruncatedSeries.from_poly(binom, sv, D)
-    if lhs != rhs:
-        report.passed = False
-        report.counterexample = _first_series_mismatch(lhs, rhs)
-    return report
+    report.parameters["cases"] += len(lams)
+    cex = _mismatch(lhs, TruncatedSeries.from_poly(binom, sv, D))
+    return report.fail(cex) if cex else report
 
 
 def check_skew_cauchy(lam, mu, m: int = 2, n: int = 2, degree_bound: int = 4) -> CheckReport:
@@ -669,32 +583,30 @@ def check_skew_cauchy(lam, mu, m: int = 2, n: int = 2, degree_bound: int = 4) ->
     sv = set(xs) | set(ys)
     width = max(lam[0] if lam else 0, mu[0] if mu else 0) + D
     length = max(len(lam), len(mu)) + D
-    lhs = TruncatedSeries(D)
-    cases = 0
-    for nu in enumerate_partitions(sum(lam) + D, length, width):
-        if not (contains(nu, lam) and contains(nu, mu)):
-            continue
-        cases += 1
-        G = skew_groth_poly(nu, lam, xs).scale_vars({"a": -1, "b": -1})
-        if G.is_zero():
-            continue
-        g = skew_dual_groth_poly(nu, mu, ys)
-        if g.is_zero():
-            continue
-        lhs = lhs + series_from_rf(G, sv, D) * series_from_rf(g, sv, D)
-    rhs_sum = TruncatedSeries(D)
-    for nu in enumerate_partitions(min(sum(lam), sum(mu)), 99, 99):
-        if not (contains(lam, nu) and contains(mu, nu)):
-            continue
-        cases += 1
-        G = skew_groth_poly(mu, nu, xs).scale_vars({"a": -1, "b": -1})
-        if G.is_zero():
-            continue
-        g = skew_dual_groth_poly(lam, nu, ys)
-        if g.is_zero():
-            continue
-        rhs_sum = rhs_sum + series_from_rf(G, sv, D) * series_from_rf(g, sv, D)
-    rhs = _geometric_kernel(xs, ys, D) * rhs_sum
+    above = [
+        nu for nu in enumerate_partitions(sum(lam) + D, length, width)
+        if contains(nu, lam) and contains(nu, mu)
+    ]
+    below = [
+        nu for nu in enumerate_partitions(min(sum(lam), sum(mu)), 99, 99)
+        if contains(lam, nu) and contains(mu, nu)
+    ]
+
+    def pairing(skews):
+        """Sum of G(x) g(y) over ((G outer, inner), (g outer, inner)) pairs."""
+        total = TruncatedSeries(D)
+        for G_shapes, g_shapes in skews:
+            G = skew_groth_poly(*G_shapes, xs).scale_vars({"a": -1, "b": -1})
+            if G.is_zero():
+                continue
+            g = skew_dual_groth_poly(*g_shapes, ys)
+            if not g.is_zero():
+                total = total + series_from_rf(G, sv, D) * series_from_rf(g, sv, D)
+        return total
+
+    lhs = pairing(((nu, lam), (nu, mu)) for nu in above)
+    rhs_sum = pairing(((mu, nu), (lam, nu)) for nu in below)
+    cases = len(above) + len(below)
     report = CheckReport(
         name="cauchy/skew",
         parameters={
@@ -702,10 +614,8 @@ def check_skew_cauchy(lam, mu, m: int = 2, n: int = 2, degree_bound: int = 4) ->
             "cases": cases,
         },
     )
-    if lhs != rhs:
-        report.passed = False
-        report.counterexample = _first_series_mismatch(lhs, rhs)
-    return report
+    cex = _mismatch(lhs, _geometric_kernel(xs, ys, sv, D) * rhs_sum)
+    return report.fail(cex) if cex else report
 
 
 def check_gen_cauchy(kind: str, m: int, n: int, degree_bound: int = 3) -> CheckReport:
@@ -726,25 +636,18 @@ def check_gen_cauchy(kind: str, m: int, n: int, degree_bound: int = 3) -> CheckR
     inv_w = [ONE / RationalFunction.var(f"w{j}") for j in range(1, zcount + 1)]
     inv_z = [ONE / RationalFunction.var(f"z{j}") for j in range(1, zcount + 1)]
     for lam in lams:
-        if kind == "Gg":
-            first = generalized_poly("G", lam, m, z=inv_w, variables=xs)
-            second = generalized_poly("g", lam, n, z=inv_z, variables=ys)
-        else:
-            first = generalized_poly("J", lam, m, z=inv_w, variables=xs)
-            second = generalized_poly("j", lam, n, z=inv_z, variables=ys)
+        # kind names the pairing: G against g, or J against j
+        first = generalized_poly(kind[0], lam, m, z=inv_w, variables=xs)
+        second = generalized_poly(kind[1], lam, n, z=inv_z, variables=ys)
         if first.is_zero() or second.is_zero():
             continue
         lhs = lhs + series_from_rf(first, sv, D) * series_from_rf(second, sv, D)
-    lhs = lhs.map_coefficients(laurent_reduce)
-    rhs = _geometric_kernel(xs, ys, D)
     report = CheckReport(
         name=f"cauchy/generalized-{kind}",
         parameters={"m": m, "n": n, "degree_bound": D, "cases": len(lams)},
     )
-    if lhs != rhs:
-        report.passed = False
-        report.counterexample = _first_series_mismatch(lhs, rhs)
-    return report
+    cex = _mismatch(lhs.map_coefficients(laurent_reduce), _geometric_kernel(xs, ys, sv, D))
+    return report.fail(cex) if cex else report
 
 
 def check_G_at_z(lam, m: int) -> CheckReport:
@@ -758,11 +661,9 @@ def check_G_at_z(lam, m: int) -> CheckReport:
     report = CheckReport(
         name="cauchy/G-at-z", parameters={"lam": list(lam), "m": m, "cases": 1}
     )
-    ok = val.is_polynomial() and laurent_reduce(val.num) == MultiPoly.const(1)
-    if not ok:
-        report.passed = False
-        report.counterexample = {"lhs": rf_to_str(val), "rhs": "1"}
-    return report
+    if val.is_polynomial() and laurent_reduce(val.num) == MultiPoly.const(1):
+        return report
+    return report.fail(_mismatch(val, ONE))
 
 
 def check_dual_sum_rule(m: int, n: int, degree_bound: int = 3) -> CheckReport:
@@ -773,25 +674,17 @@ def check_dual_sum_rule(m: int, n: int, degree_bound: int = 3) -> CheckReport:
     sv = set(ys)
     inv_z = [ONE / RationalFunction.var(f"z{j}") for j in range(1, m + 1)]
     lhs = TruncatedSeries(D)
-    cases = 0
-    for lam in enumerate_partitions(m * D, m, D):
+    lams = list(enumerate_partitions(m * D, m, D))
+    for lam in lams:
         g = generalized_poly("g", lam, n, z=inv_z, variables=ys)
         if not g.is_zero():
             lhs = lhs + series_from_rf(g, sv, D)
-        cases += 1
-    rhs = TruncatedSeries.one(D)
-    for i in range(1, m + 1):
-        for yv in ys:
-            den = MultiPoly.const(1) - MultiPoly.var(f"z{i}") * MultiPoly.var(yv)
-            rhs = rhs * series_from_rf(RationalFunction(MultiPoly.const(1), den), sv, D)
     report = CheckReport(
         name="cauchy/dual-sum-rule",
-        parameters={"m": m, "n": n, "degree_bound": D, "cases": cases},
+        parameters={"m": m, "n": n, "degree_bound": D, "cases": len(lams)},
     )
-    if lhs != rhs:
-        report.passed = False
-        report.counterexample = _first_series_mismatch(lhs, rhs)
-    return report
+    cex = _mismatch(lhs, _geometric_kernel(_vars("z", m), ys, sv, D))
+    return report.fail(cex) if cex else report
 
 
 # ---------------------------------------------------------------------------

@@ -107,4 +107,7 @@ def branch_poly(kind: str, lam, n: int, variables=None) -> RationalFunction:
         memo[key] = total
         return total
 
-    return value(lam, len(variables)).to_rf()
+    try:
+        return value(lam, len(variables)).to_rf()
+    finally:
+        del value  # value refers to itself: break the cycle now, not at a GC pass

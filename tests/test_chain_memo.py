@@ -1,7 +1,8 @@
 """The process-wide chain memo of transfer._chain_sum: a value served from
 the memo equals the value computed without it, the term budget holds after
 every insertion with least-recently-used eviction, a repeated request does
-no chain arithmetic, and a chain sum leaves no reference cycles behind."""
+no chain arithmetic, and a chain sum leaves no reference cycles behind, nor
+do the oracle and the verification checks."""
 
 import contextlib
 import gc
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grothpoly import factored, transfer
+from grothpoly import factored, identities, oracles, transfer
 from grothpoly.algebra import MultiPoly, as_rf
 from grothpoly.cli import main
 from grothpoly.factored import FFrac
+from grothpoly.models import RMatrixFamily
 from grothpoly.partitions import enumerate_partitions
 from grothpoly.transfer import (
     chain_memo_stats,
@@ -213,13 +215,46 @@ CONSTRUCTORS = [
 ]
 
 
-@pytest.mark.parametrize("index", range(len(CONSTRUCTORS)))
-def test_constructors_leave_no_reference_cycles(index):
+def _unreachable_after(call) -> int:
+    """Objects that only a cyclic collection would free after call()."""
     clear_chain_memo()
     gc.collect()
     gc.disable()
     try:
-        CONSTRUCTORS[index]()
-        assert gc.collect() == 0
+        call()
+        return gc.collect()
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("index", range(len(CONSTRUCTORS)))
+def test_constructors_leave_no_reference_cycles(index):
+    assert _unreachable_after(CONSTRUCTORS[index]) == 0
+
+
+# the oracle and every verification check, at small bounds
+CALLS = {
+    "branch_poly/G": lambda: oracles.branch_poly("G", (3, 2), 3),
+    "branch_poly/g": lambda: oracles.branch_poly("g", (2, 1), 3),
+    "branch_poly/j": lambda: oracles.branch_poly("j", (2, 1), 3),
+    "rll": lambda: identities.check_rll("col-G", aux_max=1, phys_max=2),
+    "eigenvector": lambda: identities.check_eigenvector(RMatrixFamily.COL_G_R, max_label=2),
+    "unitarity": lambda: identities.check_unitary(max_label=2),
+    "inversion/groth": lambda: identities.check_inversion_G(2, 1),
+    "inversion/dual": lambda: identities.check_inversion_dual(2, 1),
+    "commutation/TT": lambda: identities.check_commutation("TT", 2, 1),
+    "commutation/tt": lambda: identities.check_commutation("tt", 2, 1),
+    "commutation/mixed": lambda: identities.check_commutation("mixed", 2, 2, degree_bound=4),
+    "cauchy/product-kernel": lambda: identities.check_cauchy_1(1, 1, degree_bound=2),
+    "cauchy/binomial-kernel": lambda: identities.check_cauchy_2(1, 1),
+    "cauchy/skew": lambda: identities.check_skew_cauchy((1,), (1,), 1, 1, degree_bound=2),
+    "cauchy/generalized-Gg": lambda: identities.check_gen_cauchy("Gg", 1, 1, degree_bound=2),
+    "cauchy/generalized-Jj": lambda: identities.check_gen_cauchy("Jj", 1, 1, degree_bound=2),
+    "cauchy/G-at-z": lambda: identities.check_G_at_z((2, 1), 2),
+    "cauchy/dual-sum-rule": lambda: identities.check_dual_sum_rule(1, 1, degree_bound=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_oracle_and_checks_leave_no_reference_cycles(name):
+    assert _unreachable_after(CALLS[name]) == 0

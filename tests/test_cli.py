@@ -190,6 +190,14 @@ class TestVerify:
         # must not move a single counterexample or parameter
         assert out == (Path(__file__).parent / "data" / "verify_all.jsonl").read_text()
 
+    def test_help_says_which_checks_read_each_bound(self, run):
+        code, out = run(["verify", "--help"])
+        text = " ".join(out.split())
+        assert code == 0
+        for flag in ("aux-max", "phys-max", "sites", "occ-max", "max-label", "degree-bound"):
+            metavar = flag.replace("-", "_").upper()
+            assert f"--{flag} {metavar} read by " in text, flag
+
     def test_check_with_no_cases_is_usage_error(self, capsys, monkeypatch):
         from grothpoly import cli
         from grothpoly.identities import CheckReport

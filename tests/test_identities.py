@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from grothpoly import identities
@@ -240,3 +242,16 @@ def test_run_suite_names():
     assert [r.name for r in reports] == ["unitary/col-G-R"]
     with pytest.raises(ValueError):
         run_suite("nonsense")
+
+
+@pytest.mark.parametrize("sites,occ_max,budget", [(1, 2, 0), (2, 2, 4), (2, 1, 6), (3, 2, 3), (0, 0, 5)])
+def test_near_equals_the_filtered_product(sites, occ_max, budget):
+    # the explicit-stack enumeration prunes; the plain product does not
+    nsites = sites + budget
+    for u in product(range(occ_max + 1), repeat=sites):
+        upad = u + (0,) * budget
+        brute = [
+            w for w in product(*(range(max(0, x - 1), x + 2) for x in upad))
+            if sum((i + 1) * (w[i] - upad[i]) for i in range(nsites)) <= budget
+        ]
+        assert identities._near(u, nsites, budget) == brute, u
