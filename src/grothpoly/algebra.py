@@ -13,13 +13,23 @@ Variable names come from a fixed alphabet: ``x1, x2, ...``, ``y1, ...``,
 ``z1, ...``, ``w1, ...`` plus the deformation parameters ``a`` (alpha) and
 ``b`` (beta).  Monomials are ordered graded-lexicographically with variable
 priority x < y < z < w < a < b.
+
+Inside a ``MultiPoly`` a monomial is one packed int: one process-wide
+variable table gives each variable a 16-bit slot at first use, 15 bits of
+exponent under a guard bit.  A product of monomials is an integer sum, a
+quotient a difference whose guard bits show a borrow.  ``Monomial`` is the
+public value type built from and read back into that key.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd as _igcd, lcm as _ilcm
+from operator import itemgetter, or_
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -38,6 +48,10 @@ class InexactDivision(ArithmeticError):
     pass
 
 
+class ExponentOverflow(ValueError):
+    """An exponent exceeds MAX_EXPONENT, the largest a slot holds."""
+
+
 _FAMILY_RANK = {"x": 0, "y": 1, "z": 2, "w": 3, "a": 4, "b": 5}
 _VAR_KEYS: dict = {}
 
@@ -54,118 +68,143 @@ def var_key(name: str) -> tuple[int, int]:
     return key
 
 
-class Monomial:
-    """Sparse exponent vector: (name, exponent) pairs sorted by var_key,
-    zero exponents never stored.
+# The variable table: a packed key holds a variable's exponent in bits
+# [s, s + 15) of its slot at shift s, and keeps bit s + 15 clear.  A sum of
+# two keys sets that guard bit where an exponent overflows; a difference
+# sets it where the subtrahend's exponent is the larger (the borrow).
+_SLOT_BITS = 16
+MAX_EXPONENT = (1 << (_SLOT_BITS - 1)) - 1
+_SHIFTS: dict = {}  # name -> shift of its slot
+_NAMES: list = []  # slot -> name
+_GUARD = 0  # the guard bits of every slot in use
+_BY_PRIORITY: list = []  # names in var_key order
+_PRIORITY = tuple  # slot exponents -> exponents in var_key order
+_BYTEORDER = sys.byteorder
 
-    The public constructor validates and sorts; products and quotients
-    merge two already-sorted tuples and skip both.  The total degree is
-    stored: a product adds the operands' degrees, a quotient subtracts them.
+
+def _shift(name: str) -> int:
+    """Shift of name's slot, assigned at first use."""
+    s = _SHIFTS.get(name)
+    if s is None:
+        global _GUARD, _BY_PRIORITY, _PRIORITY
+        var_key(name)
+        s = _SHIFTS[name] = _SLOT_BITS * len(_NAMES)
+        _NAMES.append(name)
+        _GUARD |= 1 << (s + _SLOT_BITS - 1)
+        order = sorted(range(len(_NAMES)), key=lambda i: var_key(_NAMES[i]))
+        _BY_PRIORITY = [_NAMES[i] for i in order]
+        _PRIORITY = itemgetter(*order) if len(order) > 1 else tuple
+    return s
+
+
+def _mask(names) -> int:
+    """Key with every exponent bit of the named variables' slots set."""
+    return sum(MAX_EXPONENT << _SHIFTS[v] for v in names if v in _SHIFTS)
+
+
+def _exponents(k: int):
+    """The exponents of key k, one per slot in slot order."""
+    return memoryview(k.to_bytes(2 * len(_NAMES), _BYTEORDER)).cast("H")
+
+
+@lru_cache(maxsize=1 << 11)
+def _pairs(k: int) -> tuple:
+    """(name, exponent) pairs of key k in var_key order; cached, because
+    output reads the same monomials again and again."""
+    e = _PRIORITY(_exponents(k))
+    return tuple(zip(compress(_BY_PRIORITY, e), filter(None, e)))
+
+
+def _grlex(k: int):
+    """Sort key of key k in graded-lex order, valid within one sort."""
+    e = _exponents(k)
+    return sum(e), _PRIORITY(e)
+
+
+def _checked(k: int) -> int:
+    """k, unless some exponent in it overflowed its slot."""
+    if k & _GUARD:
+        raise ExponentOverflow(f"exponent above {MAX_EXPONENT}")
+    return k
+
+
+def _slot_min(a: int, b: int) -> int:
+    """The key of gcd(a, b): the smaller exponent in every slot."""
+    ge = ((a | _GUARD) - b) & _GUARD  # guard bit kept where a >= b
+    take_b = ge - (ge >> (_SLOT_BITS - 1))
+    return (b & take_b) | (a & ~take_b)
+
+
+class Monomial:
+    """Sparse exponent vector, the public face of one packed key.
+
+    ``exps`` lists (name, exponent) pairs in var_key order, zero exponents
+    never stored.  The public constructor validates; products and quotients
+    add and subtract keys.
     """
 
-    __slots__ = ("exps", "_deg", "_key", "_hash")
+    __slots__ = ("_k", "_exps", "_deg", "_key")
 
     def __init__(self, exps=()):
         items = exps.items() if isinstance(exps, dict) else exps
-        pairs = []
+        k = 0
         for v, e in items:
             if e < 0:
                 raise ValueError("negative exponent in monomial")
+            if e > MAX_EXPONENT:
+                raise ExponentOverflow(f"exponent {e} of {v} above {MAX_EXPONENT}")
             if e:
-                var_key(v)
-                pairs.append((v, e))
-        pairs.sort(key=lambda p: _VAR_KEYS[p[0]])
-        self.exps = tuple(pairs)
-        self._deg = sum(e for _, e in pairs)
-        self._key = None
-        self._hash = None
+                k += e << _shift(v)
+        self._k = _checked(k)
+        self._exps = self._deg = self._key = None
 
     @classmethod
-    def _sorted(cls, pairs: tuple, deg: int) -> "Monomial":
-        """Monomial from pairs already validated and in var_key order, of
-        total degree deg."""
+    def _of(cls, k: int) -> "Monomial":
+        """Monomial of a valid packed key."""
         m = object.__new__(cls)
-        m.exps = pairs
-        m._deg = deg
-        m._key = None
-        m._hash = None
+        m._k = k
+        m._exps = m._deg = m._key = None
         return m
 
+    @property
+    def exps(self) -> tuple:
+        if self._exps is None:
+            self._exps = _pairs(self._k)
+        return self._exps
+
     def degree(self) -> int:
+        if self._deg is None:
+            self._deg = sum(_exponents(self._k))
         return self._deg
 
     def exponent(self, name: str) -> int:
-        for v, e in self.exps:
-            if v == name:
-                return e
-        return 0
+        s = _SHIFTS.get(name)
+        return 0 if s is None else (self._k >> s) & MAX_EXPONENT
 
     def key(self):
         """Total-order key: bigger key means bigger in graded-lex order."""
         if self._key is None:
             keys = _VAR_KEYS
             lex = tuple((-keys[v][0], -keys[v][1], e) for v, e in self.exps)
-            self._key = (self._deg, lex)
+            self._key = (self.degree(), lex)
         return self._key
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        a, b = self.exps, other.exps
-        if not b:
-            return self
-        if not a:
-            return other
-        keys = _VAR_KEYS
-        out = []
-        i = j = 0
-        na, nb = len(a), len(b)
-        while i < na and j < nb:
-            va, ea = a[i]
-            vb, eb = b[j]
-            if va == vb:
-                out.append((va, ea + eb))
-                i += 1
-                j += 1
-            elif keys[va] < keys[vb]:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        return Monomial._sorted(tuple(out) + a[i:] + b[j:], self._deg + other._deg)
+        return Monomial._of(_checked(self._k + other._k))
 
     def divide(self, other: "Monomial"):
         """Quotient by ``other``, or None when not divisible."""
-        b = other.exps
-        if not b:
-            return self
-        out = []
-        j, nb = 0, len(b)
-        vb, eb = b[0]
-        for v, e in self.exps:
-            if v != vb:
-                out.append((v, e))
-                continue
-            r = e - eb
-            if r < 0:
-                return None
-            if r:
-                out.append((v, r))
-            j += 1
-            vb, eb = b[j] if j < nb else (None, 0)
-        if j < nb:
-            return None
-        return Monomial._sorted(tuple(out), self._deg - other._deg)
+        k = self._k - other._k
+        return None if k & _GUARD else Monomial._of(k)
 
     def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
+        return isinstance(other, Monomial) and self._k == other._k
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.exps)
-        return self._hash
+        return hash(self._k)
 
     def __repr__(self):
-        if not self.exps:
+        if not self._k:
             return "1"
         return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self.exps)
 
@@ -217,29 +256,36 @@ def _canonical(t: dict) -> bool:
 class MultiPoly:
     """Sparse multivariate polynomial.
 
-    ``terms`` maps Monomial to a nonzero coefficient in canonical form: an
-    int when it is integral, a non-integral Fraction otherwise.  Since
-    ``3 == Fraction(3)`` and the two hash alike, equality and hashing do
-    not depend on the form.  ``_frac`` records whether some coefficient is
-    a Fraction, so arithmetic on all-int operands checks no term.
+    ``terms`` maps a packed monomial key, private to this module, to a
+    nonzero coefficient in canonical form: an int when it is integral, a
+    non-integral Fraction otherwise.  ``items()`` reads the terms back as
+    ``(Monomial, coefficient)`` pairs.  Since ``3 == Fraction(3)`` and the
+    two hash alike, equality and hashing do not depend on the form.
+    ``_frac`` records whether some coefficient is a Fraction, so arithmetic
+    on all-int operands checks no term.  A polynomial is immutable:
+    ``_order`` caches its keys in descending graded-lex order once output
+    or sign normalization has asked for it.
     """
 
-    __slots__ = ("terms", "_lt", "_frac")
+    __slots__ = ("terms", "_order", "_frac")
 
     def __init__(self, terms=None):
         t = {}
         if terms:
             for m, c in (terms.items() if isinstance(terms, dict) else terms):
+                if not isinstance(m, Monomial):
+                    raise TypeError(f"not a Monomial: {m!r}")
                 c = _coeff(c)
                 if c:
-                    acc = t.get(m)
+                    k = m._k
+                    acc = t.get(k)
                     c = c if acc is None else _coeff(acc + c)
                     if c:
-                        t[m] = c
+                        t[k] = c
                     elif acc is not None:
-                        del t[m]
+                        del t[k]
         self.terms = t
-        self._lt = None
+        self._order = None
         self._frac = _has_fraction(t)
 
     @classmethod
@@ -248,7 +294,7 @@ class MultiPoly:
         coefficient is a Fraction."""
         out = object.__new__(cls)
         out.terms = terms
-        out._lt = None
+        out._order = None
         out._frac = frac
         return out
 
@@ -256,53 +302,61 @@ class MultiPoly:
     @classmethod
     def const(cls, c) -> "MultiPoly":
         c = _coeff(c)
-        return cls({_ONE_MONO: c}) if c else cls()
+        return cls._of({0: c}, type(c) is not int) if c else cls()
 
     @classmethod
     def var(cls, name: str, power: int = 1) -> "MultiPoly":
-        return cls({Monomial({name: power}): 1})
+        return cls._of({Monomial({name: power})._k: 1}, False)
 
     # -- queries -----------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _ONE_MONO in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return Fraction(self.terms.get(_ONE_MONO, 0))
+        return Fraction(self.terms.get(0, 0))
+
+    def items(self):
+        """The terms as (Monomial, coefficient) pairs, in no set order."""
+        return [(Monomial._of(k), c) for k, c in self.terms.items()]
 
     def variables(self) -> set:
-        out = set()
-        for m in self.terms:
-            for v, _ in m.exps:
-                out.add(v)
-        return out
+        return set(compress(_NAMES, _exponents(reduce(or_, self.terms, 0))))
 
     def degree_in(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(m.exponent(name) for m in self.terms)
+        s = _SHIFTS.get(name)
+        if s is None:
+            return 0
+        return max((k >> s) & MAX_EXPONENT for k in self.terms)
 
     def coeff_in(self, name: str, k: int) -> "MultiPoly":
         """Coefficient of name**k, as a polynomial in the other variables."""
-        out = {}
-        for m, c in self.terms.items():
-            if m.exponent(name) == k:
-                out[Monomial._sorted(tuple(p for p in m.exps if p[0] != name), m._deg - k)] = c
-        return MultiPoly(out)
+        s = _SHIFTS.get(name)
+        if s is None:
+            return self if k == 0 else MultiPoly()
+        mask, want = MAX_EXPONENT << s, k << s
+        out = {m ^ want: c for m, c in self.terms.items() if m & mask == want}
+        return MultiPoly._of(out, self._frac and _has_fraction(out))
+
+    def _graded(self) -> list:
+        """The keys in descending graded-lex order, cached."""
+        if self._order is None:
+            self._order = sorted(self.terms, key=_grlex, reverse=True)
+        return self._order
 
     def leading_term(self):
         """(monomial, coefficient) maximal in graded-lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        if self._lt is None:
-            m = max(self.terms, key=Monomial.key)
-            self._lt = (m, self.terms[m])
-        return self._lt
+        k = self._graded()[0]
+        return Monomial._of(k), self.terms[k]
 
     def content(self) -> Fraction:
         """Positive rational c with self/c having coprime integer coefficients."""
@@ -310,14 +364,15 @@ class MultiPoly:
 
     def sorted_terms(self):
         """Terms in canonical (descending graded-lex) order."""
-        return sorted(self.terms.items(), key=lambda t: t[0].key(), reverse=True)
+        t = self.terms
+        return [(Monomial._of(k), t[k]) for k in self._graded()]
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MultiPoly.const(other)
         t = dict(self.terms)
         for m, c in other.terms.items():
             s = t.get(m)
@@ -338,25 +393,27 @@ class MultiPoly:
         return MultiPoly._of({m: -c for m, c in self.terms.items()}, self._frac)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MultiPoly.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self.scale(other)
         t: dict = {}
+        get = t.get
+        second = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                s = t.get(m)
+            for m2, c2 in second:
+                m = m1 + m2
+                s = get(m)
                 if s is None:
                     t[m] = c1 * c2
                 else:
@@ -365,6 +422,7 @@ class MultiPoly:
                         t[m] = s
                     else:
                         del t[m]
+        _checked(reduce(or_, t, 0))
         frac = self._frac or other._frac
         return MultiPoly._of(t, frac and _canonical(t))
 
@@ -399,9 +457,11 @@ class MultiPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, (int, Fraction)):
+                return False
             other = MultiPoly.const(other)
-        return isinstance(other, MultiPoly) and self.terms == other.terms
+        return self.terms == other.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -410,20 +470,46 @@ class MultiPoly:
         return hash(frozenset(self.terms.items()))
 
     # -- mappings -----------------------------------------------------------
+    def _shifted(self, k: int) -> "MultiPoly":
+        """Every key moved by k: a product with a monomial when k >= 0, a
+        quotient by a monomial dividing every term when k < 0."""
+        if not k:
+            return self
+        t = {m + k: c for m, c in self.terms.items()}
+        if k > 0:
+            _checked(reduce(or_, t, 0))
+        return MultiPoly._of(t, self._frac)
+
     def mul_monomial(self, mono: Monomial) -> "MultiPoly":
-        return MultiPoly._of({m * mono: c for m, c in self.terms.items()}, self._frac)
+        return self._shifted(mono._k)
 
     def rename_vars(self, mapping: dict) -> "MultiPoly":
-        out = {}
+        """Simultaneous renaming; variables renamed onto one name multiply."""
+        moves = [(_SHIFTS[v], _shift(w)) for v, w in mapping.items() if v != w and v in _SHIFTS]
+        if not moves:
+            return self
+        clear = ~sum(MAX_EXPONENT << s for s, _ in moves)
+        out: dict = {}
         for m, c in self.terms.items():
-            nm = Monomial({mapping.get(v, v): e for v, e in m.exps})
-            out[nm] = out.get(nm, 0) + c
-        return MultiPoly(out)
+            k = m & clear
+            for s, d in moves:
+                k += ((m >> s) & MAX_EXPONENT) << d
+            acc = out.get(k)
+            if acc is None:
+                out[k] = c
+            else:
+                acc += c
+                if acc:
+                    out[k] = acc
+                else:
+                    del out[k]
+        _checked(reduce(or_, out, 0))
+        return MultiPoly._of(out, self._frac and _canonical(out))
 
     def evaluate(self, point: dict) -> Fraction:
         """Evaluate at exact rational values for every variable present."""
         total = Fraction(0)
-        for m, c in self.terms.items():
+        for m, c in self.items():
             v = c
             for name, e in m.exps:
                 v *= _coeff(point[name]) ** e
@@ -432,32 +518,27 @@ class MultiPoly:
 
     def scale_vars(self, mapping: dict) -> "MultiPoly":
         """Substitute v -> t*v for rational t (t = 0 drops the variable)."""
+        factors = [(_SHIFTS.get(v), _coeff(t)) for v, t in mapping.items()]
+        factors = [(s, t) for s, t in factors if s is not None]
         out: dict = {}
         for m, c in self.terms.items():
-            keep = []
-            for name, e in m.exps:
-                t = mapping.get(name)
-                if t is None:
-                    keep.append((name, e))
-                    continue
-                t = _coeff(t)
-                if t == 0:
-                    c = 0
-                    break
-                c = c * t**e
-                keep.append((name, e))
-            if c:
-                nm = Monomial._sorted(tuple(keep), m._deg)
-                s = out.get(nm, 0) + c
-                if s:
-                    out[nm] = s
-                elif nm in out:
-                    del out[nm]
+            for s, t in factors:
+                e = (m >> s) & MAX_EXPONENT
+                if e:
+                    if not t:
+                        break
+                    c = c * t**e
+            else:
+                out[m] = c
         return MultiPoly._of(out, _canonical(out))
 
     def substitute(self, bindings: dict) -> "RationalFunction":
         """Simultaneous substitution; values may be rational functions."""
         vals = {k: as_rf(v) for k, v in bindings.items()}
+        # each term multiplies its substituted powers in variable order
+        bound = sorted((v for v in vals if v in _SHIFTS), key=var_key)
+        bound = [(v, _SHIFTS[v]) for v in bound]
+        keep = ~_mask(vals)
         if all(v.is_polynomial() for v in vals.values()):
             polys = {k: v.num for k, v in vals.items()}
             powcache: dict = {}
@@ -472,27 +553,22 @@ class MultiPoly:
             total = MultiPoly()
             for m, c in self.terms.items():
                 term = MultiPoly.const(c)
-                rest = {}
-                for name, e in m.exps:
-                    if name in polys:
+                for name, s in bound:
+                    e = (m >> s) & MAX_EXPONENT
+                    if e:
                         term = term * ppow(name, e)
-                    else:
-                        rest[name] = e
-                if rest:
-                    term = term.mul_monomial(Monomial(rest))
+                term = term._shifted(m & keep)
                 total = total + term
             return RationalFunction(total, _norm=False)
         total = RationalFunction.zero()
         for m, c in self.terms.items():
             term = RationalFunction.const(c)
-            rest = {}
-            for name, e in m.exps:
-                if name in vals:
+            for name, s in bound:
+                e = (m >> s) & MAX_EXPONENT
+                if e:
                     term = term * vals[name] ** e
-                else:
-                    rest[name] = e
-            if rest:
-                term = term * RationalFunction(MultiPoly({Monomial(rest): 1}))
+            if m & keep:
+                term = term * RationalFunction(MultiPoly._of({m & keep: 1}, False))
             total = total + term
         return total
 
@@ -503,77 +579,66 @@ class MultiPoly:
 _POLY_ONE = MultiPoly.const(1)
 
 
+def _content_key(p: MultiPoly) -> int:
+    """Key of the largest monomial dividing every term of p (p nonzero)."""
+    keys = iter(p.terms)
+    g = next(keys)
+    for k in keys:
+        if not g:
+            break
+        g = _slot_min(g, k)
+    return g
+
+
 def monomial_content(p: MultiPoly) -> Monomial:
     """Largest monomial dividing every term of p (p nonzero)."""
-    mins: dict = None
-    for m in p.terms:
-        d = dict(m.exps)
-        if mins is None:
-            mins = d
-        else:
-            mins = {v: min(e, d.get(v, 0)) for v, e in mins.items() if d.get(v, 0)}
-    return Monomial(mins or {})
+    return Monomial._of(_content_key(p))
 
 
 def _quo_monomial(p: MultiPoly, mono: Monomial) -> MultiPoly:
-    if not mono.exps:
-        return p
-    out = {}
-    for m, c in p.terms.items():
-        q = m.divide(mono)
-        assert q is not None
-        out[q] = c
-    return MultiPoly(out)
-
-
-def _descending_key(m: Monomial) -> tuple:
-    """Key whose ascending order is descending graded-lex order: the entries
-    of ``key()``, flattened, each negated.  Within one degree no exponent
-    list is a prefix of another, so negating every entry reverses the
-    comparison."""
-    out = [-m._deg]
-    keys = _VAR_KEYS
-    for v, e in m.exps:
-        out += keys[v]
-        out.append(-e)
-    return tuple(out)
+    """p divided by a monomial that divides every term of p."""
+    return p._shifted(-mono._k)
 
 
 def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     """Exact polynomial division; raises InexactDivision when d does not divide p.
 
-    The remainder is one dict updated in place; its terms are popped in
-    descending graded-lex order from a heap holding one entry per monomial
-    of the dict.  A term that cancels keeps a zero coefficient until popped,
-    so a monomial is never pushed twice.  Each step costs the divisor's
+    Terms are taken in descending order of their packed keys, which is lex
+    order on the slots: a monomial order, so the quotient and the verdict
+    are those of any other.  The remainder is one dict updated in place;
+    its keys are popped from a heap of negated keys holding one entry per
+    key of the dict.  A term that cancels keeps a zero coefficient until
+    popped, so a key is never pushed twice.  Each step costs the divisor's
     length plus a heap operation, not a pass over the remainder.
     """
     if d.is_zero():
         raise DivisionByZero("polynomial division by zero")
     if d.is_constant():
         return p.quo(d.constant_value())
-    dm, dc = d.leading_term()
+    dm = max(d.terms)
+    dc = d.terms[dm]
     tail = [(m, -c) for m, c in d.terms.items() if m != dm]
     r = dict(p.terms)
-    heap = [(_descending_key(m), m) for m in r]
+    heap = [-m for m in r]
     heapify(heap)
+    guard = _GUARD
     q: dict = {}
     while heap:
-        rm = heappop(heap)[1]
+        rm = -heappop(heap)
         rc = r.pop(rm)
         if not rc:
             continue
-        m = rm.divide(dm)
-        if m is None:
+        m = rm - dm
+        if m & guard:
             raise InexactDivision("division is not exact")
         c = _quo(rc, dc)
         q[m] = c
         for tm, tc in tail:
-            nm = tm * m
+            nm = tm + m
             old = r.get(nm)
             if old is None:
                 r[nm] = tc * c
-                heappush(heap, (_descending_key(nm), nm))
+                heappush(heap, -nm)
             else:
                 r[nm] = old + tc * c
     return MultiPoly._of(q, _has_fraction(q))
@@ -603,7 +668,7 @@ def _unit(p: MultiPoly):
     """Signed content: p / _unit(p) has coprime integer coefficients and a
     positive leading coefficient (p nonzero)."""
     c = _content(p)
-    return -c if p.leading_term()[1] < 0 else c
+    return -c if p.terms[p._graded()[0]] < 0 else c
 
 
 def _make_primitive(p: MultiPoly) -> MultiPoly:
@@ -659,10 +724,9 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return _make_primitive(q)
     if q.is_zero():
         return _make_primitive(p)
-    mp, mq = monomial_content(p), monomial_content(q)
-    mono = Monomial({v: min(e, mq.exponent(v)) for v, e in mp.exps})
-    p1, q1 = _quo_monomial(p, mp), _quo_monomial(q, mq)
-    base = MultiPoly({mono: 1})
+    mp, mq = _content_key(p), _content_key(q)
+    p1, q1 = p._shifted(-mp), q._shifted(-mq)
+    base = MultiPoly._of({_slot_min(mp, mq): 1}, False)
     if p1.is_constant() or q1.is_constant():
         return base
     shared = p1.variables() & q1.variables()
@@ -953,11 +1017,8 @@ BETA = RationalFunction.var("b")
 
 def split_monomial(m: Monomial, series_vars) -> tuple[Monomial, Monomial]:
     """Split into (part in series variables, part in coefficient variables)."""
-    sv, cv = [], []
-    for p in m.exps:
-        (sv if p[0] in series_vars else cv).append(p)
-    sdeg = sum(e for _, e in sv)
-    return Monomial._sorted(tuple(sv), sdeg), Monomial._sorted(tuple(cv), m._deg - sdeg)
+    sk = m._k & _mask(series_vars)
+    return Monomial._of(sk), Monomial._of(m._k - sk)
 
 
 class TruncatedSeries:
@@ -977,12 +1038,13 @@ class TruncatedSeries:
 
     @classmethod
     def from_poly(cls, p: MultiPoly, series_vars, degree_bound: int):
+        mask = _mask(series_vars)
         t: dict = {}
         for m, c in p.terms.items():
-            sm, cm = split_monomial(m, series_vars)
+            sm = Monomial._of(m & mask)
             if sm.degree() > degree_bound:
                 continue
-            t[sm] = t.get(sm, MultiPoly()) + MultiPoly({cm: c})
+            t[sm] = t.get(sm, MultiPoly()) + MultiPoly._of({m - sm._k: c}, type(c) is not int)
         return cls(degree_bound, t)
 
     @classmethod
@@ -1015,11 +1077,12 @@ class TruncatedSeries:
         if self.degree_bound != other.degree_bound:
             raise BoundMismatch("degree bounds differ")
         D = self.degree_bound
+        second = [(m2, m2.degree(), p2) for m2, p2 in other.terms.items()]
         t: dict = {}
         for m1, p1 in self.terms.items():
-            d1 = m1.degree()
-            for m2, p2 in other.terms.items():
-                if d1 + m2.degree() > D:
+            room = D - m1.degree()
+            for m2, d2, p2 in second:
+                if d2 > room:
                     continue
                 m = m1 * m2
                 s = t.get(m, MultiPoly()) + p1 * p2
@@ -1068,12 +1131,12 @@ def series_from_rf(f: RationalFunction, series_vars, degree_bound: int) -> Trunc
     num_s = TruncatedSeries.from_poly(f.num, series_vars, degree_bound)
     d0 = MultiPoly()
     rest = MultiPoly()
+    mask = _mask(series_vars)
     for m, c in f.den.terms.items():
-        sm, _ = split_monomial(m, series_vars)
-        if sm.degree() == 0:
-            d0 = d0 + MultiPoly({m: c})
+        if m & mask:
+            rest = rest + MultiPoly._of({m: c}, type(c) is not int)
         else:
-            rest = rest + MultiPoly({m: c})
+            d0 = d0 + MultiPoly._of({m: c}, type(c) is not int)
     if d0.is_zero():
         raise NotExpandable("denominator constant term vanishes in the series variables")
     if not d0.is_constant():

@@ -151,7 +151,7 @@ def _check_pairs(report: CheckReport, occs, sides) -> CheckReport:
 def laurent_reduce(p: MultiPoly) -> MultiPoly:
     """Normal form modulo the relations z_j * w_j = 1."""
     out: dict = {}
-    for m, c in p.terms.items():
+    for m, c in p.items():
         d = dict(m.exps)
         for v in list(d):
             if v[0] == "z":

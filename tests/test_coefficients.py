@@ -83,7 +83,7 @@ def test_coercion():
     assert _coeff(Fraction(1, 2)) == Fraction(1, 2)
     m = Monomial({"x1": 1})
     p = MultiPoly([(m, Fraction(1, 2)), (m, Fraction(1, 2))])
-    assert p.terms == {m: 1} and canonical(p, integral=True)
+    assert dict(p.items()) == {m: 1} and canonical(p, integral=True)
     half = MultiPoly.const(Fraction(1, 2))
     assert canonical(half * MultiPoly.const(2), integral=True)
     assert canonical(half + half, integral=True)

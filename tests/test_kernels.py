@@ -1,26 +1,33 @@
-"""Property tests for the two algebra kernels under every chain sum:
-monomial products and quotients, and exact polynomial division.
+"""Property tests for the algebra kernels under every chain sum: monomial
+products and quotients, polynomial arithmetic and maps, and exact
+polynomial division.
 
 Each is compared with a plain reference kept here: monomials as exponent
-dicts ordered by a dense exponent vector, and long division that rescans
-for the leading term after every step and moves a leading term the divisor
-cannot divide into the remainder.  A single divisor is a Groebner basis of
-the ideal it generates, so that remainder is zero exactly when the divisor
+dicts ordered by a dense exponent vector, polynomials as dicts from frozen
+exponent dicts to Fractions, and long division that rescans for the
+leading term after every step and moves a leading term the divisor cannot
+divide into the remainder.  A single divisor is a Groebner basis of the
+ideal it generates, so that remainder is zero exactly when the divisor
 divides the dividend.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grothpoly.algebra import (
     InexactDivision,
     Monomial,
     MultiPoly,
+    monomial_content,
     poly_divexact,
+    poly_from_json,
+    poly_to_json,
     poly_try_div,
+    split_monomial,
     var_key,
 )
 
@@ -72,8 +79,8 @@ def _frozen(m: dict):
 
 def ref_divmod(p: MultiPoly, d: MultiPoly):
     """Plain long division of p by d: (quotient, remainder) as MultiPolys."""
-    rem = {_frozen(dict(m.exps)): c for m, c in p.terms.items()}
-    div = {_frozen(dict(m.exps)): c for m, c in d.terms.items()}
+    rem = {_frozen(dict(m.exps)): c for m, c in p.items()}
+    div = {_frozen(dict(m.exps)): c for m, c in d.items()}
     dkey = ref_order([dict(k) for k in div])
     dm = max(div, key=lambda k: dkey(dict(k)))
     dc = div[dm]
@@ -104,6 +111,70 @@ def _as_poly(terms: dict) -> MultiPoly:
     return MultiPoly({Monomial(dict(k)): c for k, c in terms.items()})
 
 
+def ref_terms(p: MultiPoly) -> dict:
+    """p as a dict from frozen exponent dicts to Fractions."""
+    return {_frozen(dict(m.exps)): Fraction(c) for m, c in p.items()}
+
+
+def _collect(pairs) -> dict:
+    out: dict = {}
+    for k, c in pairs:
+        out[k] = out.get(k, Fraction(0)) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    return _collect(itertools.chain(a.items(), b.items()))
+
+
+def ref_poly_mul(a: dict, b: dict) -> dict:
+    return _collect(
+        (_frozen(ref_mul(dict(ka), dict(kb))), ca * cb)
+        for ka, ca in a.items() for kb, cb in b.items()
+    )
+
+
+def ref_pow(a: dict, k: int) -> dict:
+    out = {(): Fraction(1)}
+    for _ in range(k):
+        out = ref_poly_mul(out, a)
+    return out
+
+
+def ref_degree_in(a: dict, name: str) -> int:
+    return max((dict(k).get(name, 0) for k in a), default=-1)
+
+
+def ref_coeff_in(a: dict, name: str, e: int) -> dict:
+    return {
+        _frozen({v: x for v, x in k if v != name}): c
+        for k, c in a.items() if dict(k).get(name, 0) == e
+    }
+
+
+def ref_rename(a: dict, mapping: dict) -> dict:
+    def moved(k):
+        out: dict = {}
+        for v, e in k:
+            w = mapping.get(v, v)
+            out[w] = out.get(w, 0) + e
+        return _frozen(out)
+
+    return _collect((moved(k), c) for k, c in a.items())
+
+
+def ref_substitute(a: dict, bindings: dict) -> dict:
+    """Expand a with each bound name replaced by a reference polynomial."""
+    total: dict = {}
+    for k, c in a.items():
+        term = {_frozen({v: e for v, e in k if v not in bindings}): c}
+        for v, e in k:
+            if v in bindings:
+                term = ref_poly_mul(term, ref_pow(bindings[v], e))
+        total = ref_add(total, term)
+    return total
+
+
 # -- strategies -------------------------------------------------------------------
 
 
@@ -111,6 +182,12 @@ def _as_poly(terms: dict) -> MultiPoly:
 def polys(draw, max_terms=5):
     terms = draw(st.lists(st.tuples(exponent_dicts, coeffs), max_size=max_terms))
     return MultiPoly([(Monomial(m), c) for m, c in terms])
+
+
+# a valid name that no test builds a monomial in: its slot is never assigned
+UNSEEN = "y77"
+names = st.sampled_from(NAMES)
+renamings = st.dictionaries(names, names, max_size=3)
 
 
 def _atom(text: str) -> MultiPoly:
@@ -179,12 +256,95 @@ def test_constructor_still_validates():
 
 
 @settings(max_examples=100, deadline=None)
+@given(exponent_dicts, st.sets(names))
+def test_split_monomial_matches_reference(a, series):
+    sm, cm = split_monomial(Monomial(a), series)
+    assert sm == Monomial({v: e for v, e in a.items() if v in series})
+    assert cm == Monomial({v: e for v, e in a.items() if v not in series})
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(max_terms=8))
+def test_sorted_terms_and_leading_term_agree_with_monomial_key(p):
+    monos = [m for m, _ in p.items()]
+    assert [m for m, _ in p.sorted_terms()] == sorted(monos, key=Monomial.key, reverse=True)
+    if p:
+        assert p.leading_term() == max(p.items(), key=lambda t: t[0].key())
+
+
+@settings(max_examples=100, deadline=None)
 @given(polys(max_terms=8))
 def test_sorted_terms_descend_in_reference_order(p):
-    monos = [dict(m.exps) for m in p.terms]
+    monos = [dict(m.exps) for m, _ in p.items()]
     key = ref_order(monos)
     expected = sorted(monos, key=key, reverse=True)
     assert [dict(m.exps) for m, _ in p.sorted_terms()] == expected
+
+
+# -- polynomial arithmetic and maps ---------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), polys(), st.integers(min_value=0, max_value=3))
+def test_ring_operations_match_reference(p, q, k):
+    a, b = ref_terms(p), ref_terms(q)
+    assert ref_terms(p + q) == ref_add(a, b)
+    assert ref_terms(p - q) == ref_add(a, {m: -c for m, c in b.items()})
+    assert ref_terms(p * q) == ref_poly_mul(a, b)
+    assert ref_terms(p**k) == ref_pow(a, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), st.sampled_from(NAMES + [UNSEEN]), st.integers(min_value=0, max_value=3))
+def test_coeff_in_and_degree_in_match_reference(p, name, e):
+    a = ref_terms(p)
+    assert p.degree_in(name) == ref_degree_in(a, name)
+    assert ref_terms(p.coeff_in(name, e)) == ref_coeff_in(a, name, e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), renamings)
+@example(MultiPoly.var("x1") * MultiPoly.var("x2", 2) - MultiPoly.var("x2", 3), {"x1": "x2"})
+@example(MultiPoly.var("x1") + MultiPoly.var("y1", 2), {"x1": "y1", "y1": "x1"})
+def test_rename_vars_matches_reference(p, mapping):
+    # the first example collides x1*x2^2 with x2^3 and cancels them
+    assert ref_terms(p.rename_vars(mapping)) == ref_rename(ref_terms(p), mapping)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys().filter(bool))
+def test_monomial_content_matches_reference(p):
+    monos = [dict(m.exps) for m, _ in p.items()]
+    expected = {v: min(m.get(v, 0) for m in monos) for v in NAMES}
+    assert monomial_content(p) == Monomial(expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(max_terms=4), st.dictionaries(names, polys(max_terms=2), max_size=2))
+def test_substitute_matches_reference(p, bindings):
+    got = p.substitute(bindings)
+    assert got.is_polynomial()
+    expected = ref_substitute(ref_terms(p), {v: ref_terms(q) for v, q in bindings.items()})
+    assert ref_terms(got.num) == expected
+
+
+_fresh = (f"z{i}" for i in itertools.count(1000))
+
+
+@settings(max_examples=25, deadline=None)
+@given(polys(max_terms=6))
+def test_polynomials_stay_valid_after_a_new_variable(p):
+    before = (ref_terms(p), p.sorted_terms(), poly_to_json(p), p.variables())
+    z = MultiPoly.var(next(_fresh))
+    # the same terms, built anew, and p with its cached order
+    again = _as_poly(before[0])
+    for q in (p, again):
+        assert (ref_terms(q), q.sorted_terms(), poly_to_json(q), q.variables()) == before
+        assert poly_from_json(poly_to_json(q)) == p
+    pz = p * z
+    assert (pz * z).coeff_in(z.variables().pop(), 2) == p
+    assert poly_divexact(pz, z) == p
+    assert pz.variables() == (p.variables() | z.variables() if p else set())
 
 
 # -- division -----------------------------------------------------------------------
@@ -211,6 +371,20 @@ def test_try_div_fails_exactly_when_reference_leaves_a_remainder(p, d, e):
         assert got is None
         with pytest.raises(InexactDivision):
             poly_divexact(f, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), divisors)
+@example(MultiPoly.var("x1") * MultiPoly.var("y1", 3), MultiPoly.var("x1", 2) + MultiPoly.const(1))
+@example(MultiPoly.var("x2", 3) + MultiPoly.var("x1"), MultiPoly.var("x1") * MultiPoly.var("x2"))
+def test_try_div_of_unrelated_polynomials_matches_reference(p, d):
+    # mostly inexact: some exponent of the dividend is below the divisor's,
+    # and the key subtraction borrows from the next slot
+    quo, rem = ref_divmod(p, d)
+    got = poly_try_div(p, d)
+    assert (got is None) == (not rem.is_zero())
+    if got is not None:
+        assert got == quo
 
 
 @settings(max_examples=100, deadline=None)
