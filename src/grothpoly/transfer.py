@@ -128,9 +128,11 @@ def scan_row(spec: TransferSpec, bottom, top, nsites: int, vertex):
     """Product of the factored weights vertex(site, a, b, c, d) over the
     unique single-row configuration with the given bottom and top
     occupancies, scanned right to left from the spec's boundary label; 0
-    when some label leaves the admissible range."""
+    when some label leaves the admissible range.  Every label is derived
+    before any weight is fetched, and the weights are multiplied only when
+    all of them are nonzero."""
     fermionic = spec.fermionic
-    out = ONE
+    labels = []
     c = spec.right_boundary
     for i in range(nsites - 1, -1, -1):
         b = bottom[i] if i < len(bottom) else 0
@@ -138,11 +140,17 @@ def scan_row(spec: TransferSpec, bottom, top, nsites: int, vertex):
         a = c + d - b
         if a < 0 or (fermionic and a > 1):
             return ZERO
-        w = vertex(i, a, b, c, d)
+        labels.append((i, a, b, c, d))
+        c = a
+    weights = []
+    for label in labels:
+        w = vertex(*label)
         if w.is_zero():
             return ZERO
+        weights.append(w)
+    out = ONE
+    for w in weights:
         out = out * w
-        c = a
     return out
 
 
