@@ -17,6 +17,7 @@ from .algebra import (
     poly_gcd,
     rf_from_json,
     rf_to_json,
+    rf_to_json_text,
     rf_to_latex,
     rf_to_str,
     series_from_rf,

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, reduce
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import compress, count, repeat
 from math import gcd as _igcd, lcm as _ilcm
-from operator import itemgetter, or_
+from operator import getitem, or_
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -76,9 +76,8 @@ _SLOT_BITS = 16
 MAX_EXPONENT = (1 << (_SLOT_BITS - 1)) - 1
 _SHIFTS: dict = {}  # name -> shift of its slot
 _NAMES: list = []  # slot -> name
+_RANKS: list = []  # slot -> var_key of its name
 _GUARD = 0  # the guard bits of every slot in use
-_BY_PRIORITY: list = []  # names in var_key order
-_PRIORITY = tuple  # slot exponents -> exponents in var_key order
 _BYTEORDER = sys.byteorder
 
 
@@ -86,14 +85,11 @@ def _shift(name: str) -> int:
     """Shift of name's slot, assigned at first use."""
     s = _SHIFTS.get(name)
     if s is None:
-        global _GUARD, _BY_PRIORITY, _PRIORITY
-        var_key(name)
+        global _GUARD
+        _RANKS.append(var_key(name))
         s = _SHIFTS[name] = _SLOT_BITS * len(_NAMES)
         _NAMES.append(name)
         _GUARD |= 1 << (s + _SLOT_BITS - 1)
-        order = sorted(range(len(_NAMES)), key=lambda i: var_key(_NAMES[i]))
-        _BY_PRIORITY = [_NAMES[i] for i in order]
-        _PRIORITY = itemgetter(*order) if len(order) > 1 else tuple
     return s
 
 
@@ -103,22 +99,30 @@ def _mask(names) -> int:
 
 
 def _exponents(k: int):
-    """The exponents of key k, one per slot in slot order."""
-    return memoryview(k.to_bytes(2 * len(_NAMES), _BYTEORDER)).cast("H")
+    """The exponents of key k, one per slot in slot order, up to the
+    highest slot k uses: the size of the variable table does not matter."""
+    size = (k.bit_length() + _SLOT_BITS - 1) // _SLOT_BITS * 2
+    return memoryview(k.to_bytes(size, _BYTEORDER)).cast("H")
 
 
-@lru_cache(maxsize=1 << 11)
-def _pairs(k: int) -> tuple:
-    """(name, exponent) pairs of key k in var_key order; cached, because
-    output reads the same monomials again and again."""
-    e = _PRIORITY(_exponents(k))
-    return tuple(zip(compress(_BY_PRIORITY, e), filter(None, e)))
+def _decorated(t: dict):
+    """Each key of t as (degree, exponents in var_key order, key), and the
+    names of those exponents.  Keys are converted up to the highest slot t
+    uses and only the slots some key uses are kept, so variables named
+    after t's cost nothing here.  Tuples compare in graded-lex order, and
+    never reach the key: no two keys have the same exponents."""
+    used = _exponents(reduce(or_, t, 0))
+    slots = sorted(compress(count(), used), key=_RANKS.__getitem__)
+    # every key's slots in one array: slot j of the i-th key at i * len(used) + j
+    flat = b"".join(map(int.to_bytes, t, repeat(used.nbytes), repeat(_BYTEORDER)))
+    flat = memoryview(flat).cast("H")
+    es = list(zip(*[flat[j::len(used)] for j in slots])) if slots else [()] * len(t)
+    return zip(map(sum, es), es, t), [_NAMES[i] for i in slots]
 
 
-def _grlex(k: int):
-    """Sort key of key k in graded-lex order, valid within one sort."""
-    e = _exponents(k)
-    return sum(e), _PRIORITY(e)
+def _leading_key(t: dict) -> int:
+    """The key of t largest in graded-lex order (t nonempty)."""
+    return next(iter(t)) if len(t) == 1 else max(_decorated(t)[0])[2]
 
 
 def _checked(k: int) -> int:
@@ -169,7 +173,9 @@ class Monomial:
     @property
     def exps(self) -> tuple:
         if self._exps is None:
-            self._exps = _pairs(self._k)
+            e = _exponents(self._k)
+            slots = sorted(compress(count(), e), key=_RANKS.__getitem__)
+            self._exps = tuple((_NAMES[i], e[i]) for i in slots)
         return self._exps
 
     def degree(self) -> int:
@@ -262,12 +268,10 @@ class MultiPoly:
     ``(Monomial, coefficient)`` pairs.  Since ``3 == Fraction(3)`` and the
     two hash alike, equality and hashing do not depend on the form.
     ``_frac`` records whether some coefficient is a Fraction, so arithmetic
-    on all-int operands checks no term.  A polynomial is immutable:
-    ``_order`` caches its keys in descending graded-lex order once output
-    or sign normalization has asked for it.
+    on all-int operands checks no term.  A polynomial is immutable.
     """
 
-    __slots__ = ("terms", "_order", "_frac")
+    __slots__ = ("terms", "_frac")
 
     def __init__(self, terms=None):
         t = {}
@@ -285,7 +289,6 @@ class MultiPoly:
                     elif acc is not None:
                         del t[k]
         self.terms = t
-        self._order = None
         self._frac = _has_fraction(t)
 
     @classmethod
@@ -294,7 +297,6 @@ class MultiPoly:
         coefficient is a Fraction."""
         out = object.__new__(cls)
         out.terms = terms
-        out._order = None
         out._frac = frac
         return out
 
@@ -345,17 +347,11 @@ class MultiPoly:
         out = {m ^ want: c for m, c in self.terms.items() if m & mask == want}
         return MultiPoly._of(out, self._frac and _has_fraction(out))
 
-    def _graded(self) -> list:
-        """The keys in descending graded-lex order, cached."""
-        if self._order is None:
-            self._order = sorted(self.terms, key=_grlex, reverse=True)
-        return self._order
-
     def leading_term(self):
         """(monomial, coefficient) maximal in graded-lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        k = self._graded()[0]
+        k = _leading_key(self.terms)
         return Monomial._of(k), self.terms[k]
 
     def content(self) -> Fraction:
@@ -365,7 +361,7 @@ class MultiPoly:
     def sorted_terms(self):
         """Terms in canonical (descending graded-lex) order."""
         t = self.terms
-        return [(Monomial._of(k), t[k]) for k in self._graded()]
+        return [(Monomial._of(k), t[k]) for _, _, k in sorted(_decorated(t)[0], reverse=True)]
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
@@ -541,14 +537,7 @@ class MultiPoly:
         keep = ~_mask(vals)
         if all(v.is_polynomial() for v in vals.values()):
             polys = {k: v.num for k, v in vals.items()}
-            powcache: dict = {}
-
-            def ppow(name, e):
-                got = powcache.get((name, e))
-                if got is None:
-                    got = polys[name] ** e
-                    powcache[(name, e)] = got
-                return got
+            ppow = cache(lambda name, e: polys[name] ** e)
 
             total = MultiPoly()
             for m, c in self.terms.items():
@@ -577,6 +566,7 @@ class MultiPoly:
 
 
 _POLY_ONE = MultiPoly.const(1)
+_POLY_ZERO = MultiPoly()
 
 
 def _content_key(p: MultiPoly) -> int:
@@ -668,7 +658,7 @@ def _unit(p: MultiPoly):
     """Signed content: p / _unit(p) has coprime integer coefficients and a
     positive leading coefficient (p nonzero)."""
     c = _content(p)
-    return -c if p.terms[p._graded()[0]] < 0 else c
+    return -c if p.terms[_leading_key(p.terms)] < 0 else c
 
 
 def _make_primitive(p: MultiPoly) -> MultiPoly:
@@ -699,16 +689,22 @@ def _prem(A: MultiPoly, B: MultiPoly, v: str) -> MultiPoly:
     return R
 
 
-def _primitive_part_in(P: MultiPoly, v: str) -> MultiPoly:
-    if P.is_zero():
-        return P
+def _content_in(P: MultiPoly, v: str) -> MultiPoly:
+    """Gcd of the coefficients of P as a polynomial in v."""
     cont = MultiPoly()
     for k in range(P.degree_in(v) + 1):
         c = P.coeff_in(v, k)
         if not c.is_zero():
             cont = poly_gcd(cont, c)
             if cont.is_constant():
-                break
+                break  # the gcd with anything further stays 1
+    return cont
+
+
+def _primitive_part_in(P: MultiPoly, v: str) -> MultiPoly:
+    if P.is_zero():
+        return P
+    cont = _content_in(P, v)
     if cont.is_constant():
         return _make_primitive(P)
     return _make_primitive(poly_divexact(P, cont))
@@ -734,16 +730,7 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return base
     # least degree first: repeated binomials in a high-degree variable blow up the PRS
     v = min(shared, key=lambda s: (max(p1.degree_in(s), q1.degree_in(s)), var_key(s)))
-    cont_p = MultiPoly()
-    for k in range(p1.degree_in(v) + 1):
-        c = p1.coeff_in(v, k)
-        if not c.is_zero():
-            cont_p = poly_gcd(cont_p, c)
-    cont_q = MultiPoly()
-    for k in range(q1.degree_in(v) + 1):
-        c = q1.coeff_in(v, k)
-        if not c.is_zero():
-            cont_q = poly_gcd(cont_q, c)
+    cont_p, cont_q = _content_in(p1, v), _content_in(q1, v)
     g_cont = poly_gcd(cont_p, cont_q)
     A = _make_primitive(poly_divexact(p1, cont_p))
     B = _make_primitive(poly_divexact(q1, cont_q))
@@ -1039,20 +1026,25 @@ class TruncatedSeries:
     @classmethod
     def from_poly(cls, p: MultiPoly, series_vars, degree_bound: int):
         mask = _mask(series_vars)
-        t: dict = {}
+        parts: dict = {}  # series key -> {coefficient key: coefficient}
         for m, c in p.terms.items():
-            sm = Monomial._of(m & mask)
-            if sm.degree() > degree_bound:
-                continue
-            t[sm] = t.get(sm, MultiPoly()) + MultiPoly._of({m - sm._k: c}, type(c) is not int)
-        return cls(degree_bound, t)
+            s = m & mask
+            part = parts.get(s)
+            if part is None:
+                parts[s] = {m - s: c}
+            else:
+                part[m - s] = c
+        return cls(degree_bound, {
+            Monomial._of(s): MultiPoly._of(part, p._frac and _has_fraction(part))
+            for s, part in parts.items()
+        })
 
     @classmethod
     def one(cls, degree_bound: int):
         return cls(degree_bound, {_ONE_MONO: MultiPoly.const(1)})
 
     def coefficient(self, m: Monomial) -> MultiPoly:
-        return self.terms.get(m, MultiPoly())
+        return self.terms.get(m, _POLY_ZERO)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -1061,9 +1053,11 @@ class TruncatedSeries:
             raise BoundMismatch("degree bounds differ")
         t = dict(self.terms)
         for m, p in other.terms.items():
-            s = t.get(m, MultiPoly()) + p
-            if s.is_zero():
-                t.pop(m, None)
+            s = t.get(m)
+            if s is None:
+                t[m] = p
+            elif (s := s + p).is_zero():
+                del t[m]
             else:
                 t[m] = s
         return TruncatedSeries(self.degree_bound, t)
@@ -1085,9 +1079,11 @@ class TruncatedSeries:
                 if d2 > room:
                     continue
                 m = m1 * m2
-                s = t.get(m, MultiPoly()) + p1 * p2
-                if s.is_zero():
-                    t.pop(m, None)
+                s = t.get(m)
+                if s is None:
+                    t[m] = p1 * p2
+                elif (s := s + p1 * p2).is_zero():
+                    del t[m]
                 else:
                     t[m] = s
         return TruncatedSeries(D, t)
@@ -1129,30 +1125,24 @@ def series_from_rf(f: RationalFunction, series_vars, degree_bound: int) -> Trunc
     """
     series_vars = set(series_vars)
     num_s = TruncatedSeries.from_poly(f.num, series_vars, degree_bound)
-    d0 = MultiPoly()
-    rest = MultiPoly()
     mask = _mask(series_vars)
-    for m, c in f.den.terms.items():
-        if m & mask:
-            rest = rest + MultiPoly._of({m: c}, type(c) is not int)
-        else:
-            d0 = d0 + MultiPoly._of({m: c}, type(c) is not int)
-    if d0.is_zero():
+    d0 = {m: c for m, c in f.den.terms.items() if not m & mask}
+    if not d0:
         raise NotExpandable("denominator constant term vanishes in the series variables")
-    if not d0.is_constant():
+    if d0.keys() != {0}:
         raise NotExpandable("denominator constant term is not a scalar")
-    c0 = d0.constant_value()
-    # 1/(c0*(1+u)) = (1/c0) * (1 - u + u^2 - ...), u has no constant term
-    u = TruncatedSeries.from_poly(rest.quo(c0), series_vars, degree_bound)
-    inv = TruncatedSeries.one(degree_bound)
-    power = TruncatedSeries.one(degree_bound)
-    sign = 1
+    c0 = d0[0]
+    # 1/(c0*(1+u)) = (1/c0) * (1 + v + v^2 + ...) for v = -u, which has no
+    # constant term
+    minus_u = {m: -_quo(c, c0) for m, c in f.den.terms.items() if m & mask}
+    v = TruncatedSeries.from_poly(
+        MultiPoly._of(minus_u, _has_fraction(minus_u)), series_vars, degree_bound)
+    inv = power = TruncatedSeries.one(degree_bound)
     for _ in range(degree_bound):
-        power = power * u
+        power = power * v
         if power.is_zero():
             break
-        sign = -sign
-        inv = inv + power.scale_poly(MultiPoly.const(sign))
+        inv = inv + power
     return (num_s * inv).scale_poly(MultiPoly.const(_quo(1, c0)))
 
 
@@ -1161,32 +1151,41 @@ def series_from_rf(f: RationalFunction, series_vars, degree_bound: int) -> Trunc
 # ---------------------------------------------------------------------------
 
 
-def _coeff_str(c) -> str:
-    return str(c)
+def _terms_text(p: MultiPoly, factor, sep: str, rank):
+    """The coefficients of p in canonical order, and each term's monomial
+    as text: factor(name, exponent) over its variables in the order of
+    rank(name), joined by sep.  Each factor's text is built once per
+    polynomial."""
+    t = p.terms
+    if p.is_constant():
+        return list(t.values()), [""] * len(t)
+    dec, names = _decorated(t)
+    _, exps, keys = zip(*sorted(dec, reverse=True))
+    cols = list(zip(*exps))
+    cells = [{e: factor(v, e) if e else "" for e in set(col)} for v, col in zip(names, cols)]
+    order = sorted(range(len(names)), key=lambda i: rank(names[i]))
+    cells = [cells[i] for i in order]
+    rows = zip(*[cols[i] for i in order])
+    monos = [sep.join(filter(None, map(getitem, cells, e))) for e in rows]
+    return [t[k] for k in keys], monos
 
 
-def _display_factors(m: Monomial):
+def _display_rank(v: str):
     # parameters a, b print first, like coefficients; series variables after
-    return sorted(m.exps, key=lambda p: (p[0][0] not in ("a", "b"), var_key(p[0])))
+    return v[0] not in ("a", "b"), var_key(v)
+
+
+def _display_text(p: MultiPoly, factor, sep: str) -> str:
+    """Signed terms joined by " + " and " - ", a leading sign only if "-"."""
+    text = " ".join([
+        ("+ " if c > 0 else "- ") + (f"{abs(c)}{sep}{m}" if m and abs(c) != 1 else m or str(abs(c)))
+        for c, m in zip(*_terms_text(p, factor, sep, _display_rank))
+    ])
+    return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def poly_to_str(p: MultiPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for m, c in p.sorted_terms():
-        if not m.exps:
-            body = _coeff_str(abs(c))
-        else:
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}" for v, e in _display_factors(m)
-            )
-            body = mono if abs(c) == 1 else f"{_coeff_str(abs(c))}*{mono}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return _display_text(p, lambda v, e: v if e == 1 else f"{v}^{e}", "*")
 
 
 def rf_to_str(f: RationalFunction) -> str:
@@ -1195,33 +1194,13 @@ def rf_to_str(f: RationalFunction) -> str:
     return f"({poly_to_str(f.num)})/({poly_to_str(f.den)})"
 
 
-_LATEX_NAMES = {"a": r"\alpha", "b": r"\beta"}
-
-
-def _latex_var(v: str) -> str:
-    if v in _LATEX_NAMES:
-        return _LATEX_NAMES[v]
-    return f"{v[0]}_{{{v[1:]}}}"
+def _latex_factor(v: str, e: int) -> str:
+    name = {"a": r"\alpha", "b": r"\beta"}.get(v) or f"{v[0]}_{{{v[1:]}}}"
+    return name if e == 1 else f"{name}^{{{e}}}"
 
 
 def poly_to_latex(p: MultiPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for m, c in p.sorted_terms():
-        if not m.exps:
-            body = _coeff_str(abs(c))
-        else:
-            mono = " ".join(
-                _latex_var(v) if e == 1 else f"{_latex_var(v)}^{{{e}}}"
-                for v, e in _display_factors(m)
-            )
-            body = mono if abs(c) == 1 else f"{_coeff_str(abs(c))} {mono}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return _display_text(p, _latex_factor, " ")
 
 
 def rf_to_latex(f: RationalFunction) -> str:
@@ -1231,10 +1210,25 @@ def rf_to_latex(f: RationalFunction) -> str:
 
 
 def poly_to_json(p: MultiPoly) -> list:
+    t = p.terms
+    dec, names = _decorated(t)
+    dec = sorted(dec, reverse=True)
     return [
-        {"coeff": str(c), "exps": {v: e for v, e in m.exps}}
-        for m, c in p.sorted_terms()
+        {"coeff": str(t[k]), "exps": dict(zip(compress(names, e), filter(None, e)))}
+        for _, e, k in dec
     ]
+
+
+def _poly_json_text(p: MultiPoly) -> str:
+    # names in string order, as json.dumps(..., sort_keys=True) writes them
+    coeffs, monos = _terms_text(p, '"{}": {}'.format, ", ", str)
+    terms = [f'{{"coeff": "{c!s}", "exps": {{{m}}}}}' for c, m in zip(coeffs, monos)]
+    return "[" + ", ".join(terms) + "]"
+
+
+def rf_to_json_text(f: RationalFunction) -> str:
+    """``json.dumps(rf_to_json(f), sort_keys=True)``, written directly."""
+    return '{"den": ' + _poly_json_text(f.den) + ', "num": ' + _poly_json_text(f.num) + "}"
 
 
 def poly_from_json(data) -> MultiPoly:

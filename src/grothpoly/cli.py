@@ -18,6 +18,7 @@ from .algebra import (
     RationalFunction,
     as_rf,
     rf_to_json,
+    rf_to_json_text,
     rf_to_latex,
     rf_to_str,
 )
@@ -119,7 +120,7 @@ def _cmd_compute(args, out) -> int:
     elif args.format == "latex":
         out.write(rf_to_latex(val) + "\n")
     else:
-        out.write(json.dumps(rf_to_json(val), sort_keys=True) + "\n")
+        out.write(rf_to_json_text(val) + "\n")
     return 0
 
 
