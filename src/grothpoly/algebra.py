@@ -100,7 +100,7 @@ def _mask(names) -> int:
 
 def _exponents(k: int):
     """The exponents of key k, one per slot in slot order, up to the
-    highest slot k uses: the size of the variable table does not matter."""
+    highest slot k uses: slots of variables named later cost nothing."""
     size = (k.bit_length() + _SLOT_BITS - 1) // _SLOT_BITS * 2
     return memoryview(k.to_bytes(size, _BYTEORDER)).cast("H")
 
