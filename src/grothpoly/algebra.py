@@ -121,7 +121,13 @@ def _decorated(t: dict):
 
 
 def _leading_key(t: dict) -> int:
-    """The key of t largest in graded-lex order (t nonempty)."""
+    """The key of t largest in graded-lex order (t nonempty).  Of two keys
+    of different degrees the larger degree leads, with no decoration."""
+    if len(t) == 2:
+        k1, k2 = t
+        d1, d2 = sum(_exponents(k1)), sum(_exponents(k2))
+        if d1 != d2:
+            return k1 if d1 > d2 else k2
     return next(iter(t)) if len(t) == 1 else max(_decorated(t)[0])[2]
 
 
@@ -257,6 +263,25 @@ def _canonical(t: dict) -> bool:
             else:
                 frac = True
     return frac
+
+
+def _mul_into(t: dict, first: dict, second: dict) -> None:
+    """Add the product of the terms first and second to the terms t, in
+    place, dropping what cancels; keys are not checked for overflow."""
+    get = t.get
+    second = second.items()
+    for m1, c1 in first.items():
+        for m2, c2 in second:
+            m = m1 + m2
+            s = get(m)
+            if s is None:
+                t[m] = c1 * c2
+            else:
+                s += c1 * c2
+                if s:
+                    t[m] = s
+                else:
+                    del t[m]
 
 
 class MultiPoly:
@@ -404,20 +429,7 @@ class MultiPoly:
                 return NotImplemented
             return self.scale(other)
         t: dict = {}
-        get = t.get
-        second = other.terms.items()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in second:
-                m = m1 + m2
-                s = get(m)
-                if s is None:
-                    t[m] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        t[m] = s
-                    else:
-                        del t[m]
+        _mul_into(t, self.terms, other.terms)
         _checked(reduce(or_, t, 0))
         frac = self._frac or other._frac
         return MultiPoly._of(t, frac and _canonical(t))
@@ -1002,148 +1014,135 @@ BETA = RationalFunction.var("b")
 # ---------------------------------------------------------------------------
 
 
-def split_monomial(m: Monomial, series_vars) -> tuple[Monomial, Monomial]:
-    """Split into (part in series variables, part in coefficient variables)."""
-    sk = m._k & _mask(series_vars)
-    return Monomial._of(sk), Monomial._of(m._k - sk)
+def _graded(t: dict, mask: int, bound: int) -> list:
+    """The terms of t by series degree, the exponent sum over mask's slots
+    (summed slot by slot: k % 0xFFFF wraps once it reaches 0xFFFF), one
+    dict per degree 0..bound, higher degrees dropped."""
+    out = [{} for _ in range(bound + 1)]
+    degrees: dict = {}  # series part of a key -> its degree
+    for k, c in t.items():
+        s = k & mask
+        d = degrees.get(s)
+        if d is None:
+            d = degrees[s] = sum(_exponents(s))
+        if d <= bound:
+            out[d][k] = c
+    return out
 
 
 class TruncatedSeries:
     """Power series in a set of series variables, truncated at a total
-    degree bound, with polynomial coefficients in the remaining variables."""
+    degree bound, with polynomial coefficients in the remaining variables.
 
-    __slots__ = ("degree_bound", "terms")
+    One polynomial ``poly`` of series degree at most ``degree_bound``;
+    ``mask`` sets the exponent bits of the series variables' slots.  The
+    public constructor takes {series monomial: coefficient polynomial}.
+    """
 
-    def __init__(self, degree_bound: int, terms=None):
+    __slots__ = ("degree_bound", "mask", "poly")
+
+    def __init__(self, degree_bound: int, terms=None, *, _mask_poly=(0, _POLY_ZERO)):
         self.degree_bound = degree_bound
-        t = {}
-        if terms:
-            for m, p in terms.items():
-                if m.degree() <= degree_bound and not p.is_zero():
-                    t[m] = p
-        self.terms = t
+        self.mask, self.poly = _mask_poly
+        for m, p in (terms or {}).items():
+            if m.degree() <= degree_bound:
+                self.mask |= _mask(v for v, _ in m.exps)
+                self.poly = self.poly + p.mul_monomial(m)
 
     @classmethod
     def from_poly(cls, p: MultiPoly, series_vars, degree_bound: int):
         mask = _mask(series_vars)
-        parts: dict = {}  # series key -> {coefficient key: coefficient}
-        for m, c in p.terms.items():
-            s = m & mask
-            part = parts.get(s)
-            if part is None:
-                parts[s] = {m - s: c}
-            else:
-                part[m - s] = c
-        return cls(degree_bound, {
-            Monomial._of(s): MultiPoly._of(part, p._frac and _has_fraction(part))
-            for s, part in parts.items()
-        })
+        t = {k: c for part in _graded(p.terms, mask, degree_bound) for k, c in part.items()}
+        return cls(degree_bound, _mask_poly=(mask, MultiPoly._of(t, p._frac and _has_fraction(t))))
 
     @classmethod
     def one(cls, degree_bound: int):
         return cls(degree_bound, {_ONE_MONO: MultiPoly.const(1)})
 
     def coefficient(self, m: Monomial) -> MultiPoly:
-        return self.terms.get(m, _POLY_ZERO)
+        """Coefficient of the series monomial m, in the other variables."""
+        mask, s = self.mask, m._k
+        t = {k - s: c for k, c in self.poly.terms.items() if k & mask == s}
+        return MultiPoly._of(t, self.poly._frac and _has_fraction(t))
+
+    def monomials(self) -> set:
+        """The series monomials with a nonzero coefficient."""
+        return {Monomial._of(k & self.mask) for k in self.poly.terms}
+
+    def _combine(self, other, op):
+        """The series op(self.poly, other.poly, mask, bound) for a series
+        other of the same bound."""
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        if self.degree_bound != other.degree_bound:
+            raise BoundMismatch("degree bounds differ")
+        mask, D = self.mask | other.mask, self.degree_bound
+        return TruncatedSeries(D, _mask_poly=(mask, op(self.poly, other.poly, mask, D)))
 
     def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        if self.degree_bound != other.degree_bound:
-            raise BoundMismatch("degree bounds differ")
-        t = dict(self.terms)
-        for m, p in other.terms.items():
-            s = t.get(m)
-            if s is None:
-                t[m] = p
-            elif (s := s + p).is_zero():
-                del t[m]
-            else:
-                t[m] = s
-        return TruncatedSeries(self.degree_bound, t)
+        return self._combine(other, lambda p, q, mask, D: p + q)
 
     def __sub__(self, other):
-        return self + other.scale_poly(MultiPoly.const(-1))
+        return self._combine(other, lambda p, q, mask, D: p - q)
 
     def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        if self.degree_bound != other.degree_bound:
-            raise BoundMismatch("degree bounds differ")
-        D = self.degree_bound
-        second = [(m2, m2.degree(), p2) for m2, p2 in other.terms.items()]
-        t: dict = {}
-        for m1, p1 in self.terms.items():
-            room = D - m1.degree()
-            for m2, d2, p2 in second:
-                if d2 > room:
-                    continue
-                m = m1 * m2
-                s = t.get(m)
-                if s is None:
-                    t[m] = p1 * p2
-                elif (s := s + p1 * p2).is_zero():
-                    del t[m]
-                else:
-                    t[m] = s
-        return TruncatedSeries(D, t)
-
-    def scale_poly(self, p: MultiPoly) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.degree_bound, {m: c * p for m, c in self.terms.items()}
-        )
-
-    def map_coefficients(self, fn) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.degree_bound, {m: fn(c) for m, c in self.terms.items()}
-        )
+        return self._combine(other, _truncated_product)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.poly.is_zero()
 
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedSeries)
             and self.degree_bound == other.degree_bound
-            and self.terms == other.terms
+            and self.poly == other.poly
         )
 
     def __repr__(self):
         parts = [
-            f"({poly_to_str(p)})*{m!r}"
-            for m, p in sorted(self.terms.items(), key=lambda t: t[0].key())
+            f"({poly_to_str(self.coefficient(m))})*{m!r}"
+            for m in sorted(self.monomials(), key=Monomial.key)
         ]
         return f"TruncatedSeries<={self.degree_bound}[" + " + ".join(parts) + "]"
+
+
+def _truncated_product(p: MultiPoly, q: MultiPoly, mask: int, D: int) -> MultiPoly:
+    """p * q without its terms of series degree above D: only the parts of
+    series degrees d1 + d2 <= D are multiplied."""
+    second = _graded(q.terms, mask, D)
+    t: dict = {}
+    for d, part in enumerate(_graded(p.terms, mask, D)):
+        for other in second[: D + 1 - d] if part else ():
+            _mul_into(t, part, other)
+    _checked(reduce(or_, t, 0))
+    return MultiPoly._of(t, (p._frac or q._frac) and _canonical(t))
 
 
 def series_from_rf(f: RationalFunction, series_vars, degree_bound: int) -> TruncatedSeries:
     """Taylor-expand f in the series variables up to total degree_bound.
 
-    The denominator's constant term in the series variables must be a
-    nonzero rational scalar (all denominators arising here are monic in
-    that sense), otherwise NotExpandable is raised.
+    The denominator's constant term c0 in the series variables must be a
+    nonzero rational scalar, otherwise NotExpandable is raised.  Power-series
+    division (Knuth, TAOCP vol. 2, 4.7) gives the component of series degree
+    d as S_d = (N_d - sum_{j=1..d} R_j * S_{d-j}) / c0, with N_d and R_j the
+    components of degree d and j of num and den; R_j * S_{d-j} has degree d.
     """
-    series_vars = set(series_vars)
-    num_s = TruncatedSeries.from_poly(f.num, series_vars, degree_bound)
-    mask = _mask(series_vars)
-    d0 = {m: c for m, c in f.den.terms.items() if not m & mask}
-    if not d0:
+    D = degree_bound
+    mask = _mask(set(series_vars))
+    den = _graded(f.den.terms, mask, max(D, 0))
+    if not den[0]:
         raise NotExpandable("denominator constant term vanishes in the series variables")
-    if d0.keys() != {0}:
+    if den[0].keys() != {0}:
         raise NotExpandable("denominator constant term is not a scalar")
-    c0 = d0[0]
-    # 1/(c0*(1+u)) = (1/c0) * (1 + v + v^2 + ...) for v = -u, which has no
-    # constant term
-    minus_u = {m: -_quo(c, c0) for m, c in f.den.terms.items() if m & mask}
-    v = TruncatedSeries.from_poly(
-        MultiPoly._of(minus_u, _has_fraction(minus_u)), series_vars, degree_bound)
-    inv = power = TruncatedSeries.one(degree_bound)
-    for _ in range(degree_bound):
-        power = power * v
-        if power.is_zero():
-            break
-        inv = inv + power
-    return (num_s * inv).scale_poly(MultiPoly.const(_quo(1, c0)))
+    c0 = den[0][0]
+    neg_r = [{k: _quo(-c, c0) for k, c in part.items()} for part in den]  # -R_j / c0
+    S = _graded(f.num.quo(c0).terms, mask, D)
+    for d, t in enumerate(S):  # t holds N_d / c0, S[:d] are done
+        for j in range(1, d + 1):
+            _mul_into(t, neg_r[j], S[d - j])
+        _checked(reduce(or_, t, 0))
+    t = {k: c for part in S for k, c in part.items()}
+    return TruncatedSeries(D, _mask_poly=(mask, MultiPoly._of(t, _canonical(t))))
 
 
 # ---------------------------------------------------------------------------

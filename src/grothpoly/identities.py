@@ -112,8 +112,7 @@ def _mismatch(lhs, rhs) -> dict | None:
     elif lhs == rhs:
         return None
     if isinstance(lhs, TruncatedSeries):
-        differ = [m for m in lhs.terms.keys() | rhs.terms.keys() if lhs.coefficient(m) != rhs.coefficient(m)]
-        m = min(differ, key=Monomial.key)
+        m = min((lhs - rhs).monomials(), key=Monomial.key)
         left, right = lhs.coefficient(m), rhs.coefficient(m)
         return {"monomial": repr(m), "lhs": poly_to_str(left), "rhs": poly_to_str(right)}
     return {"lhs": rf_to_str(lhs), "rhs": rf_to_str(rhs)}
@@ -646,7 +645,9 @@ def check_gen_cauchy(kind: str, m: int, n: int, degree_bound: int = 3) -> CheckR
         name=f"cauchy/generalized-{kind}",
         parameters={"m": m, "n": n, "degree_bound": D, "cases": len(lams)},
     )
-    cex = _mismatch(lhs.map_coefficients(laurent_reduce), _geometric_kernel(xs, ys, sv, D))
+    # z and w are never series variables: reduce every coefficient at once
+    lhs = TruncatedSeries.from_poly(laurent_reduce(lhs.poly), sv, D)
+    cex = _mismatch(lhs, _geometric_kernel(xs, ys, sv, D))
     return report.fail(cex) if cex else report
 
 

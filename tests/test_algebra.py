@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grothpoly.algebra import (
@@ -9,6 +9,8 @@ from grothpoly.algebra import (
     BETA,
     BoundMismatch,
     DivisionByZero,
+    ExponentOverflow,
+    MAX_EXPONENT,
     Monomial,
     MultiPoly,
     NotExpandable,
@@ -115,6 +117,24 @@ def _longdiv_coeffs(num, den, order):
     return out
 
 
+def _truncate(p, sv, D):
+    """The terms of p of degree at most D in the variables sv."""
+    return MultiPoly([(m, c) for m, c in p.items() if sum(m.exponent(v) for v in sv) <= D])
+
+
+def _geometric_series(f, sv, D):
+    """Reference expansion: 1/den as the geometric sum (1/c0)(1 + v + v^2 + ...)
+    for v = 1 - den/c0, which has no constant term, times the numerator;
+    every product is a full polynomial product, then truncated."""
+    c0 = f.den.scale_vars({v: 0 for v in sv}).constant_value()
+    v = _truncate(MultiPoly.const(1) - f.den.scale(1 / c0), sv, D)
+    inv = power = MultiPoly.const(1)
+    for _ in range(D):
+        power = _truncate(power * v, sv, D)
+        inv = inv + power
+    return TruncatedSeries.from_poly(_truncate(f.num.scale(1 / c0) * inv, sv, D), sv, D)
+
+
 class TestSeries:
     def test_geometric_kernel(self):
         f = ONE / (ONE - X1 * RationalFunction.var("y1"))
@@ -170,6 +190,27 @@ class TestSeries:
     def test_not_expandable(self):
         with pytest.raises(NotExpandable):
             series_from_rf(ONE / X1, {"x1"}, 2)
+
+    def test_not_expandable_non_scalar_constant_term(self):
+        with pytest.raises(NotExpandable):
+            series_from_rf(ONE / (ALPHA + X1), {"x1"}, 2)
+
+    def test_series_degree_is_exact(self):
+        # the exponents sum to 0xFFFF: read modulo 0xFFFF the term has degree 0
+        big = MultiPoly({Monomial({"x1": MAX_EXPONENT, "x2": MAX_EXPONENT, "y1": 1}): 1})
+        sv = {"x1", "x2", "y1"}
+        one = MultiPoly.const(1)
+        assert TruncatedSeries.from_poly(one + big, sv, 3) == TruncatedSeries.one(3)
+        f = RationalFunction(one + big, one - px1, _norm=False)
+        assert series_from_rf(f, sv, 3) == series_from_rf(ONE / (ONE - X1), sv, 3)
+
+    def test_product_exponent_overflow(self):
+        s = TruncatedSeries.from_poly(MultiPoly.var("a", 20000) * px1, {"x1"}, 2)
+        with pytest.raises(ExponentOverflow):
+            s * s
+        big = MultiPoly.var("a", 20000)
+        with pytest.raises(ExponentOverflow):
+            series_from_rf(RationalFunction(big, MultiPoly.const(1) - big * px1, _norm=False), {"x1"}, 2)
 
 
 # -- randomized property tests ------------------------------------------------
@@ -261,3 +302,46 @@ def test_json_round_trip(f):
 def test_plain_term_order():
     p = px1 * px2 + pb * px1 + pb * px2
     assert poly_to_str(p) == "x1*x2 + b*x1 + b*x2"
+
+
+# -- series expansion against the geometric-sum reference --------------------
+
+series_coeffs = st.sampled_from([Fraction(c) for c in (-3, -2, -1, 1, 2, 3)] + [
+    Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+# exponents up to 3 in each of x1, x2: terms up to degree 6, above every D used
+xab_exps = st.fixed_dictionaries({
+    "x1": st.integers(0, 3), "x2": st.integers(0, 3), "a": st.integers(0, 2), "b": st.integers(0, 1),
+})
+
+
+def xab_polys(series_part=False):
+    """Polynomials over x1, x2 with coefficients in a, b; with series_part
+    every term has positive degree in x1, x2."""
+    def mono(e):
+        return Monomial({**e, "x1": 1} if series_part and not e["x1"] + e["x2"] else e)
+
+    return st.lists(st.tuples(xab_exps.map(mono), series_coeffs), max_size=4).map(MultiPoly)
+
+
+@settings(max_examples=120, deadline=None)
+@given(xab_polys(), xab_polys(series_part=True), series_coeffs, st.integers(0, 4))
+@example(  # a Fraction constant term and a numerator term above D
+    MultiPoly.const(1) + MultiPoly.var("x1", 5) * pb,
+    MultiPoly([(Monomial({"x1": 1, "a": 1}), Fraction(1, 2))]),
+    Fraction(-2, 3),
+    3,
+)
+def test_series_division_matches_geometric_sum(num, tail, c0, D):
+    sv = {"x1", "x2"}
+    f = RationalFunction(num, tail + MultiPoly.const(c0), _norm=False)
+    assert series_from_rf(f, sv, D) == _geometric_series(f, sv, D)
+    reduced = RationalFunction(num, tail + MultiPoly.const(c0))
+    assert series_from_rf(reduced, sv, D) == series_from_rf(f, sv, D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(xab_polys(), xab_polys(), st.integers(0, 4))
+def test_series_product_matches_truncated_polynomial_product(p, q, D):
+    sv = {"x1", "x2"}
+    s = TruncatedSeries.from_poly(p, sv, D) * TruncatedSeries.from_poly(q, sv, D)
+    assert s == TruncatedSeries.from_poly(_truncate(p * q, sv, D), sv, D)

@@ -27,7 +27,6 @@ from grothpoly.algebra import (
     poly_from_json,
     poly_to_json,
     poly_try_div,
-    split_monomial,
     var_key,
 )
 
@@ -253,14 +252,6 @@ def test_constructor_still_validates():
         Monomial({"x1": -1})
     with pytest.raises(ValueError):
         Monomial({"q1": 1})
-
-
-@settings(max_examples=100, deadline=None)
-@given(exponent_dicts, st.sets(names))
-def test_split_monomial_matches_reference(a, series):
-    sm, cm = split_monomial(Monomial(a), series)
-    assert sm == Monomial({v: e for v, e in a.items() if v in series})
-    assert cm == Monomial({v: e for v, e in a.items() if v not in series})
 
 
 @settings(max_examples=100, deadline=None)
