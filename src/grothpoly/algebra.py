@@ -965,17 +965,6 @@ class RationalFunction:
             raise DivisionByZero("denominator vanishes identically after substitution")
         return num / den
 
-    def scale_vars(self, mapping: dict) -> "RationalFunction":
-        """Substitute v -> t*v for rational t; fast when every t is nonzero
-        (a ring automorphism, so reducedness is preserved)."""
-        num = self.num.scale_vars(mapping)
-        den = self.den.scale_vars(mapping)
-        if den.is_zero():
-            raise DivisionByZero("denominator vanishes identically after substitution")
-        if any(_coeff(t) == 0 for t in mapping.values()):
-            return RationalFunction(num, den)
-        return RationalFunction._coprime(num, den)
-
     def rename_vars(self, mapping: dict) -> "RationalFunction":
         # renaming preserves reducedness; only the denominator's leading-sign
         # normalization can change when the monomial order moves

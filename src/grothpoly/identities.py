@@ -18,6 +18,7 @@ from itertools import product
 
 from .algebra import (
     ALPHA,
+    BETA,
     Monomial,
     MultiPoly,
     RationalFunction,
@@ -43,8 +44,7 @@ from .transfer import (
     dual_groth_poly,
     generalized_poly,
     groth_poly,
-    row_configuration_weight,
-    scan_row,
+    row_scanner,
     skew_dual_groth_poly,
     skew_groth_poly,
 )
@@ -87,18 +87,6 @@ class CheckReport:
 
 def _occupancies(sites: int, occ_max: int):
     return list(product(range(occ_max + 1), repeat=sites))
-
-
-def _cached(fn):
-    """fn on labels, memoized as a factored fraction."""
-    return functools.cache(lambda *labels: as_ffrac(fn(*labels)))
-
-
-def _row_scanner(spec: TransferSpec, spectrals):
-    """Memoized single-row configuration weight with per-site spectral
-    parameters and a shared per-site vertex cache; bottom/top are tuples."""
-    vertex = _cached(lambda i, a, b, c, d: spec.vertex(i, a, b, c, d, spectrals[i]))
-    return functools.cache(lambda bottom, top: scan_row(spec, bottom, top, len(spectrals), vertex))
 
 
 def _mismatch(lhs, rhs) -> dict | None:
@@ -168,10 +156,6 @@ def laurent_reduce(p: MultiPoly) -> MultiPoly:
 # RLL relations
 # ---------------------------------------------------------------------------
 
-# the mixed pair's T* tiles sit at (-alpha, -beta)
-_NEG_AB = (("a", -FORMAL_ALPHA), ("b", -FORMAL_BETA))
-
-
 @dataclass(frozen=True)
 class _RllPair:
     wx: WeightModel
@@ -209,9 +193,9 @@ def check_rll(pair: str, aux_max: int = 3, phys_max: int = 4) -> CheckReport:
     admissible external labels, the internal sums on both sides agree as
     rational functions in x, y, alpha, beta."""
     cfg = RLL_PAIRS[pair]
-    wx = _cached(lambda a, b, c, d: factored_weight(cfg.wx, a, b, c, d, _X, *cfg.wx_ab))
-    wy = _cached(lambda a, b, c, d: factored_weight(cfg.wy, a, b, c, d, _Y))
-    rmat = _cached(lambda a, b, c, d: factored_entry(cfg.rfam, a, b, c, d, _X, _Y))
+    wx = functools.cache(lambda a, b, c, d: factored_weight(cfg.wx, a, b, c, d, _X, *cfg.wx_ab))
+    wy = functools.cache(lambda a, b, c, d: factored_weight(cfg.wy, a, b, c, d, _Y))
+    rmat = functools.cache(lambda a, b, c, d: factored_entry(cfg.rfam, a, b, c, d, _X, _Y))
 
     # a fermionic auxiliary line carries 0 or 1, a bosonic one any count
     x_fermionic, y_fermionic = cfg.wx in FERMIONIC_MODELS, cfg.wy in FERMIONIC_MODELS
@@ -276,7 +260,7 @@ def check_eigenvector(family, max_label: int = 5) -> CheckReport:
     out_tops = (0, 1) if bot_f else tuple(range(max_label + 1))
     out_bots = (0, 1) if top_f else tuple(range(max_label + 1))
 
-    entry = _cached(lambda a, b, c, d: factored_entry(fam, a, b, c, d, _X, _Y))
+    entry = functools.cache(lambda a, b, c, d: factored_entry(fam, a, b, c, d, _X, _Y))
     report = CheckReport(name=f"eigenvector/{fam.value}", parameters={"max_label": max_label})
     for ot, ob in product(out_tops, out_bots):
         total = _ZERO
@@ -298,8 +282,8 @@ def check_unitary(max_label: int = 4) -> CheckReport:
     fam = RMatrixFamily.COL_G_R
 
     # entries indexed by (top, bottom) label pairs in and out
-    f1 = _cached(lambda v, w: factored_entry(fam, *v, *w, _X, _Y))
-    f2 = _cached(lambda w, u: factored_entry(fam, *w, *u, _Y, _X))
+    f1 = functools.cache(lambda v, w: factored_entry(fam, *v, *w, _X, _Y))
+    f2 = functools.cache(lambda w, u: factored_entry(fam, *w, *u, _Y, _X))
     report = CheckReport(name="unitary/col-G-R", parameters={"max_label": max_label})
     rng = range(max_label + 1)
     cases = 0
@@ -334,8 +318,8 @@ def _check_inversion(kind, sites, occ_max, with_z, row_model, col_spec, col_x) -
     every pair of occupancies up to occ_max, where z is the site's
     inhomogeneity z_j (1 unless with_z)."""
     zs = [as_ffrac(f"z{j}") for j in range(1, sites + 1)] if with_z else [_ONE] * sites
-    row1 = _row_scanner(TransferSpec(row_model), [-_X / z for z in zs])
-    row2 = _row_scanner(col_spec, [col_x(z) for z in zs])
+    row1 = row_scanner(TransferSpec(row_model), [-_X / z for z in zs])
+    row2 = row_scanner(col_spec, [col_x(z) for z in zs])
 
     def sides(v):
         firsts = _row(row1, v, _fermionic_mids(v))
@@ -361,7 +345,7 @@ def check_inversion_dual(sites: int = 3, occ_max: int = 3, with_z: bool = True) 
     specialized to (alpha, beta) = (0, 1) acts as the identity."""
     return _check_inversion(
         "dual", sites, occ_max, with_z, WeightModel.J_ROW,
-        TransferSpec(WeightModel.COL_DUAL_G, specialize=(("a", ZERO), ("b", ONE))), lambda z: _X / z,
+        TransferSpec(WeightModel.COL_DUAL_G, alpha=0, beta=1), lambda z: _X / z,
     )
 
 
@@ -389,8 +373,8 @@ def check_commutation(kind: str, sites: int = 2, occ_max: int = 2, degree_bound:
     if kind == "mixed":
         return _check_commutation_mixed(sites, occ_max, degree_bound)
     spec = TransferSpec(_COMM_MODELS[kind])
-    rowx = _row_scanner(spec, [_X] * sites)
-    rowy = _row_scanner(spec, [_Y] * sites)
+    rowx = row_scanner(spec, [_X] * sites)
+    rowy = row_scanner(spec, [_Y] * sites)
     # a bosonic row into u starts at 0 on the right, so every suffix sum of
     # its bottom w is at most u's: no part of w exceeds u's total
     boxes = list(product(range(sites * occ_max + 1), repeat=sites))
@@ -441,19 +425,19 @@ def _check_commutation_mixed(sites: int, occ_max: int, degree_bound: int) -> Che
     D = degree_bound
     nsites = sites + D
     svars = {"x1", "y1"}
-    spec_t = TransferSpec(WeightModel.ROW_DUAL_G, sites=nsites)
-    spec_T = TransferSpec(
-        WeightModel.ROW_G, dual=True, sites=nsites,
-        specialize=_NEG_AB,
-    )
+    # the T* tiles sit at (-alpha, -beta)
+    spec_t = TransferSpec(WeightModel.ROW_DUAL_G)
+    spec_T = TransferSpec(WeightModel.ROW_G, dual=True, alpha=-ALPHA, beta=-BETA)
     zero = TruncatedSeries(D)
 
     def series_of(spec, x, admissible):
+        row = row_scanner(spec, [x] * nsites)
+
         def get(bottom, top):
             if not admissible(bottom, top):
                 return zero
-            w = row_configuration_weight(spec, bottom, top, x)
-            return zero if w.is_zero() else series_from_rf(w, svars, D)
+            w = row(bottom, top)
+            return zero if w.is_zero() else series_from_rf(w.to_rf(), svars, D)
 
         return functools.cache(get)
 
@@ -514,7 +498,7 @@ def check_cauchy_1(m: int, n: int, degree_bound: int = 4) -> CheckReport:
     lhs = TruncatedSeries(D)
     lams = list(enumerate_partitions(D, m, D))
     for lam in lams:
-        G = groth_poly(lam, m, variables=xs).scale_vars({"a": -1, "b": -1})
+        G = groth_poly(lam, m, variables=xs, alpha=-ALPHA, beta=-BETA)
         g = dual_groth_poly(lam, n, variables=ys)
         lhs = lhs + series_from_rf(G, sv, D) * TruncatedSeries.from_poly(g, sv, D)
     report = CheckReport(
@@ -550,7 +534,7 @@ def check_cauchy_2(m: int, n: int, degree_bound: int | None = None) -> CheckRepo
     lams = list(enumerate_partitions(m * n, n, m))
     for lam in lams:
         Gc = groth_poly(conjugate(lam), m, variables=xs, alpha=0, beta=-ALPHA)
-        gl = dual_groth_poly(lam, n, variables=ys).scale_vars({"b": 0})
+        gl = dual_groth_poly(lam, n, variables=ys, beta=0)
         lhs0 = lhs0 + Gc * RationalFunction(gl, _norm=False)
     report.parameters["cases"] = len(lams)
     cex = _mismatch(lhs0, RationalFunction(binom, _norm=False))
@@ -562,11 +546,7 @@ def check_cauchy_2(m: int, n: int, degree_bound: int | None = None) -> CheckRepo
     lhs = TruncatedSeries(D)
     lams = list(enumerate_partitions(D, D, m))
     for lam in lams:
-        G = (
-            groth_poly(conjugate(lam), m, variables=xs)
-            .rename_vars({"a": "b", "b": "a"})
-            .scale_vars({"a": -1, "b": -1})
-        )
+        G = groth_poly(conjugate(lam), m, variables=xs, alpha=-BETA, beta=-ALPHA)
         g = dual_groth_poly(lam, n, variables=ys)
         lhs = lhs + series_from_rf(G, sv, D) * TruncatedSeries.from_poly(g, sv, D)
     report.parameters["cases"] += len(lams)
@@ -595,7 +575,7 @@ def check_skew_cauchy(lam, mu, m: int = 2, n: int = 2, degree_bound: int = 4) ->
         """Sum of G(x) g(y) over ((G outer, inner), (g outer, inner)) pairs."""
         total = TruncatedSeries(D)
         for G_shapes, g_shapes in skews:
-            G = skew_groth_poly(*G_shapes, xs).scale_vars({"a": -1, "b": -1})
+            G = skew_groth_poly(*G_shapes, xs, alpha=-ALPHA, beta=-BETA)
             if G.is_zero():
                 continue
             g = skew_dual_groth_poly(*g_shapes, ys)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .algebra import MultiPoly, RationalFunction, as_rf
 from .factored import ONE, ZERO, FFrac, as_ffrac
@@ -38,6 +38,7 @@ from .partitions import (
     vertical_strip_subs,
 )
 
+_X0 = as_ffrac("x0")
 _DUAL_OF = {WeightModel.ROW_G: WeightModel.ROW_G_DUAL, WeightModel.J_ROW: WeightModel.J_ROW_DUAL}
 
 # The chain memo: the values of _chain_sum, shared by every call in the
@@ -62,20 +63,23 @@ class TooFewInhomogeneities(ValueError):
 @dataclass(frozen=True)
 class TransferSpec:
     """One transfer matrix: weight family, tile set, site count, and optional
-    per-site inhomogeneities and alpha/beta values.  The dual tile set also
-    reverses a chain step: its factor is <nxt|T*(x)|prev>."""
+    per-site inhomogeneities and alpha/beta values (None: formal).  The dual
+    tile set also reverses a chain step: its factor is <nxt|T*(x)|prev>."""
 
     model: WeightModel
     dual: bool = False
     sites: int | None = None
     inhomogeneities: tuple | None = None
-    specialize: tuple | None = None  # pairs (var, value) for var in "a", "b"
+    alpha: RationalFunction | None = None
+    beta: RationalFunction | None = None
 
     def __post_init__(self):
         if self.dual and self.model not in _DUAL_OF:
             raise ValueError(f"{self.model.value} has no dual tile set")
-        if {var for var, _ in self.specialize or ()} - {"a", "b"}:
-            raise ValueError("only alpha (a) and beta (b) can be specialized")
+        # one spelling per value, so equal specs share chain-memo entries
+        for name in ("alpha", "beta"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, as_rf(getattr(self, name)))
 
     def __hash__(self):
         return self._hash
@@ -84,7 +88,7 @@ class TransferSpec:
     def _hash(self) -> int:
         # hashing the specialized values walks their terms: do it once, as
         # every chain-memo key holds the spec
-        return hash((self.model, self.dual, self.sites, self.inhomogeneities, self.specialize))
+        return hash((self.model, self.dual, self.sites, self.inhomogeneities, self.alpha, self.beta))
 
     @property
     def weight_model(self) -> WeightModel:
@@ -108,60 +112,68 @@ class TransferSpec:
             return len(lam)
         return lam[0] if lam else 0
 
-    @cached_property
-    def _values(self):
-        """alpha, beta and the inhomogeneities as factored values."""
-        ab = {"a": FORMAL_ALPHA, "b": FORMAL_BETA, **dict(self.specialize or ())}
-        zs = self.inhomogeneities
-        return as_ffrac(ab["a"]), as_ffrac(ab["b"]), None if zs is None else tuple(map(as_ffrac, zs))
 
-    def vertex(self, site: int, a: int, b: int, c: int, d: int, x: FFrac) -> FFrac:
-        """Factored vertex weight at one site: spectral parameter x over the
-        site's inhomogeneity, alpha and beta passed in as values."""
-        alpha, beta, zs = self._values
-        if zs is not None:
-            x = x / zs[site]
-        return factored_weight(self.weight_model, a, b, c, d, x, alpha, beta)
+def row_scanner(spec: TransferSpec, spectrals):
+    """The single-row configuration weight, a cached function of (bottom,
+    top) occupancy tuples to factored fractions, over len(spectrals) sites
+    with site i at spectral parameter spectrals[i] over its inhomogeneity.
 
+    The row is scanned right to left from the spec's boundary label; the
+    weight is 0 when some label leaves the admissible range.  Every label is
+    derived before any weight is fetched, and the weights are multiplied
+    only when all of them are nonzero.  Each vertex weight is built once,
+    with alpha and beta entering as values, and keyed by site only when
+    the sites' spectral parameters over their inhomogeneities differ.
+    """
+    xs = [as_ffrac(x) for x in spectrals]
+    zs = spec.inhomogeneities
+    if zs is not None:
+        xs = [x / as_ffrac(zs[i]) for i, x in enumerate(xs)]
+    by_site = any((x.num, x.powers) != (xs[0].num, xs[0].powers) for x in xs)
+    nsites = len(xs)
+    model, fermionic, right = spec.weight_model, spec.fermionic, spec.right_boundary
+    alpha = FORMAL_ALPHA if spec.alpha is None else as_ffrac(spec.alpha)
+    beta = FORMAL_BETA if spec.beta is None else as_ffrac(spec.beta)
+    weights: dict = {}
 
-def scan_row(spec: TransferSpec, bottom, top, nsites: int, vertex):
-    """Product of the factored weights vertex(site, a, b, c, d) over the
-    unique single-row configuration with the given bottom and top
-    occupancies, scanned right to left from the spec's boundary label; 0
-    when some label leaves the admissible range.  Every label is derived
-    before any weight is fetched, and the weights are multiplied only when
-    all of them are nonzero."""
-    fermionic = spec.fermionic
-    labels = []
-    c = spec.right_boundary
-    for i in range(nsites - 1, -1, -1):
-        b = bottom[i] if i < len(bottom) else 0
-        d = top[i] if i < len(top) else 0
-        a = c + d - b
-        if a < 0 or (fermionic and a > 1):
-            return ZERO
-        labels.append((i, a, b, c, d))
-        c = a
-    weights = []
-    for label in labels:
-        w = vertex(*label)
-        if w.is_zero():
-            return ZERO
-        weights.append(w)
-    out = ONE
-    for w in weights:
-        out = out * w
-    return out
+    def vertex(i, a, b, c, d):
+        key = (i if by_site else 0, a, b, c, d)
+        w = weights.get(key)
+        if w is None:
+            w = weights[key] = factored_weight(model, a, b, c, d, xs[i], alpha, beta)
+        return w
+
+    @cache
+    def scan(bottom, top) -> FFrac:
+        labels = []
+        c = right
+        for i in range(nsites - 1, -1, -1):
+            b = bottom[i] if i < len(bottom) else 0
+            d = top[i] if i < len(top) else 0
+            a = c + d - b
+            if a < 0 or (fermionic and a > 1):
+                return ZERO
+            labels.append((i, a, b, c, d))
+            c = a
+        ws = []
+        for label in labels:
+            w = vertex(*label)
+            if w.is_zero():
+                return ZERO
+            ws.append(w)
+        out = ONE
+        for w in ws:
+            out = out * w
+        return out
+
+    return scan
 
 
 def row_configuration_weight(spec: TransferSpec, bottom, top, x) -> RationalFunction:
     """Weight of the unique single-row configuration with the given bottom
     and top occupancies; 0 when some label leaves the admissible range."""
-    x = as_ffrac(x)
     nsites = max(len(bottom), len(top), spec.sites or 0)
-    return scan_row(
-        spec, bottom, top, nsites, lambda i, a, b, c, d: spec.vertex(i, a, b, c, d, x)
-    ).to_rf()
+    return row_scanner(spec, [x] * nsites)(tuple(bottom), tuple(top)).to_rf()
 
 
 def transfer_element(spec: TransferSpec, mu, lam, x) -> RationalFunction:
@@ -226,35 +238,26 @@ def _chain_sum(spec: TransferSpec, steps_fn, lam, variables, inner=()):
     a hit at the top and does no chain arithmetic.
 
     A computed value sums below * element over the steps into mu.  Every
-    element is built once per call, at a shared spectral parameter x0,
-    from the call's vertex weights (keyed by site only when there are
-    inhomogeneities), and renamed to each step's variable; alpha and beta
-    enter the weight tables as values, never substituted.  Weights,
-    elements and values are factored fractions over the process-wide atom
-    table, so additions and products align exponents instead of running
-    polynomial gcds, and a value means the same in every later call.
+    element is built once per call, by one row scanner at a shared spectral
+    parameter x0 (made at the first value that misses both memos), and
+    renamed to each step's variable; alpha and beta enter the weight tables
+    as values, never substituted.  Weights, elements and values are
+    factored fractions over the process-wide atom table, so additions and
+    products align exponents instead of running polynomial gcds, and a
+    value means the same in every later call.
     """
-    x0 = as_ffrac("x0")
-    site_key = spec.inhomogeneities is not None
-    vcache: dict = {}
-
-    def vertex(i, a, b, c, d):
-        key = (i if site_key else 0, a, b, c, d)
-        got = vcache.get(key)
-        if got is None:
-            got = vcache[key] = spec.vertex(i, a, b, c, d, x0)
-        return got
-
     nsites = max(spec.min_sites(lam), spec.sites or 0)
+    scan = None
     at_x0: dict = {}
 
     def elem(prev, mu, k):
+        nonlocal scan
         e = at_x0.get((prev, mu))
         if e is None:
+            if scan is None:
+                scan = row_scanner(spec, [_X0] * nsites)
             bottom, top = (mu, prev) if spec.dual else (prev, mu)
-            e = at_x0[(prev, mu)] = scan_row(
-                spec, spec.encode(bottom, nsites), spec.encode(top, nsites), nsites, vertex
-            )
+            e = at_x0[(prev, mu)] = scan(spec.encode(bottom, nsites), spec.encode(top, nsites))
         return e.rename_vars({"x0": variables[k - 1]})
 
     base = (spec, steps_fn, inner, nsites)
@@ -300,24 +303,19 @@ def _default_vars(n: int, variables=None):
     return [f"x{i}" for i in range(1, n + 1)]
 
 
-def _specialization(alpha, beta):
-    subs = tuple((v, as_rf(val)) for v, val in (("a", alpha), ("b", beta)) if val is not None)
-    return subs or None
-
-
 def groth_poly(
     lam, n: int, encoding: str = "row", variables=None, *, alpha=None, beta=None
 ) -> RationalFunction:
     """Canonical Grothendieck polynomial in n variables; alpha and beta stay
     formal unless given as exact values."""
     model = WeightModel.ROW_G if encoding == "row" else WeightModel.COL_G
-    spec = TransferSpec(model, specialize=_specialization(alpha, beta))
+    spec = TransferSpec(model, alpha=alpha, beta=beta)
     return _chain_sum(spec, horizontal_strip_subs, check_partition(lam), _default_vars(n, variables))
 
 
 def groth_poly_dual_route(lam, n: int, variables=None, *, alpha=None, beta=None) -> RationalFunction:
     """Same polynomial via the dual tiles and right boundary 1."""
-    spec = TransferSpec(WeightModel.ROW_G, dual=True, specialize=_specialization(alpha, beta))
+    spec = TransferSpec(WeightModel.ROW_G, dual=True, alpha=alpha, beta=beta)
     return _chain_sum(spec, horizontal_strip_subs, check_partition(lam), _default_vars(n, variables))
 
 
@@ -326,7 +324,7 @@ def dual_groth_poly(
 ) -> MultiPoly:
     """Dual canonical Grothendieck polynomial; always a polynomial."""
     model = WeightModel.ROW_DUAL_G if encoding == "row" else WeightModel.COL_DUAL_G
-    spec = TransferSpec(model, specialize=_specialization(alpha, beta))
+    spec = TransferSpec(model, alpha=alpha, beta=beta)
     return _chain_sum(spec, subpartitions, check_partition(lam), _default_vars(n, variables)).as_poly()
 
 
@@ -334,7 +332,7 @@ def j_poly(lam, n: int, route: str = "direct", variables=None, *, alpha=None, be
     """Weak dual Grothendieck polynomial j_lam = g^(1,0) of the conjugate."""
     if route not in ("direct", "dual"):
         raise ValueError(f"unknown route {route!r}")
-    spec = TransferSpec(WeightModel.J_ROW, dual=route == "dual", specialize=_specialization(alpha, beta))
+    spec = TransferSpec(WeightModel.J_ROW, dual=route == "dual", alpha=alpha, beta=beta)
     return _chain_sum(spec, vertical_strip_subs, check_partition(lam), _default_vars(n, variables)).as_poly()
 
 
@@ -376,18 +374,20 @@ def generalized_poly(kind: str, lam, n: int, z=None, alpha=1, variables=None) ->
         zs = tuple(as_rf(v) for v in z)
         if len(zs) < nsites:
             raise TooFewInhomogeneities(f"need at least {nsites} inhomogeneities for {lam}")
-    spec = TransferSpec(
-        model, inhomogeneities=zs[:nsites], specialize=(("a", ka * al), ("b", kb * al))
-    )
+    spec = TransferSpec(model, inhomogeneities=zs[:nsites], alpha=ka * al, beta=kb * al)
     return _chain_sum(spec, steps, target, _default_vars(n, variables))
 
 
-def skew_groth_poly(outer, inner, variables, encoding: str = "row") -> RationalFunction:
+def skew_groth_poly(
+    outer, inner, variables, encoding: str = "row", *, alpha=None, beta=None
+) -> RationalFunction:
     """Multivariable skew canonical Grothendieck polynomial: chain sum of
-    horizontal strips from inner to outer."""
+    horizontal strips from inner to outer; alpha and beta stay formal
+    unless given as exact values."""
     outer, inner = check_partition(outer), check_partition(inner)
     model = WeightModel.ROW_G if encoding == "row" else WeightModel.COL_G
-    return _chain_sum(TransferSpec(model), horizontal_strip_subs, outer, list(variables), inner=inner)
+    spec = TransferSpec(model, alpha=alpha, beta=beta)
+    return _chain_sum(spec, horizontal_strip_subs, outer, list(variables), inner=inner)
 
 
 def skew_dual_groth_poly(outer, inner, variables, encoding: str = "row") -> RationalFunction:

@@ -90,12 +90,6 @@ class TestSubstitute:
         f = X1 / (ONE - BETA * X1)
         assert f.substitute({"b": RationalFunction.zero()}) == X1
 
-    def test_scale_vars_matches_substitute(self):
-        f = (ONE + BETA * X1) / (ONE - ALPHA * X1)
-        fast = f.scale_vars({"a": -1, "b": -1})
-        slow = f.substitute({"a": -ALPHA, "b": -BETA})
-        assert fast == slow
-
     def test_denominator_vanishing_raises(self):
         f = ONE / ALPHA
         with pytest.raises(DivisionByZero):

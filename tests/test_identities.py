@@ -4,6 +4,7 @@ import pytest
 
 from grothpoly import identities
 from grothpoly.algebra import RationalFunction
+from grothpoly.factored import as_ffrac
 from grothpoly.identities import (
     RLL_PAIRS,
     CheckReport,
@@ -22,7 +23,7 @@ from grothpoly.identities import (
     laurent_reduce,
     run_suite,
 )
-from grothpoly.models import RMatrixFamily, WeightModel, rmatrix_entry, vertex_weight
+from grothpoly.models import RMatrixFamily, WeightModel, vertex_weight
 from grothpoly.algebra import ALPHA, MultiPoly
 from grothpoly.partitions import conjugate, enumerate_partitions
 from grothpoly.transfer import groth_poly
@@ -37,12 +38,12 @@ class TestRll:
 
     def test_detects_a_broken_table(self, monkeypatch):
         # perturb one weight; the relation must fail with a counterexample
-        original = vertex_weight
+        original = identities.factored_weight
 
-        def broken(model, a, b, c, d, x):
-            w = original(model, a, b, c, d, x)
+        def broken(model, a, b, c, d, *rest):
+            w = original(model, a, b, c, d, *rest)
             if model is WeightModel.ROW_G and (a, b, c, d) == (1, 0, 0, 1):
-                return w * RationalFunction.const(2)
+                return w * as_ffrac(2)
             return w
 
         monkeypatch.setattr(identities, "factored_weight", broken)
@@ -115,12 +116,12 @@ class TestEigenvector:
 
     def test_detects_a_wrong_entry(self, monkeypatch):
         # double one col-G-R entry; the column sum it enters is no longer 1
-        original = rmatrix_entry
+        original = identities.factored_entry
 
-        def broken(family, a, b, c, d, x, y):
-            e = original(family, a, b, c, d, x, y)
+        def broken(family, a, b, c, d, *rest):
+            e = original(family, a, b, c, d, *rest)
             if family is RMatrixFamily.COL_G_R and (a, b, c, d) == (1, 1, 1, 1):
-                return e * RationalFunction.const(2)
+                return e * as_ffrac(2)
             return e
 
         monkeypatch.setattr(identities, "factored_entry", broken)

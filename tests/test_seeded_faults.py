@@ -90,8 +90,8 @@ def _product_kernel(mp):
 
 
 def _binomial_kernel(mp):
-    # only the exact part at beta = 0 passes alpha
-    _double_poly(mp, "groth_poly", lambda lam, m, **kw: lam == (1,) and "alpha" in kw)
+    # only the exact part at beta = 0 passes alpha = 0
+    _double_poly(mp, "groth_poly", lambda lam, m, **kw: lam == (1,) and kw.get("alpha") == 0)
     return identities.check_cauchy_2(1, 1)
 
 

@@ -1,21 +1,28 @@
 """Specialization inside the chain sum (alpha, beta substituted once per
 vertex weight) against the reference route: the formal polynomial with
-alpha, beta substituted into the finished result."""
+alpha, beta substituted into the finished result.  Also: every spelling
+of one alpha, beta value gives one TransferSpec and one set of chain-memo
+entries."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grothpoly.algebra import ALPHA, as_rf
+from grothpoly.algebra import ALPHA, BETA, RationalFunction, as_rf
+from grothpoly.models import WeightModel
 from grothpoly.oracles import branch_poly
-from grothpoly.partitions import enumerate_partitions
+from grothpoly.partitions import contains, enumerate_partitions
 from grothpoly.transfer import (
+    TransferSpec,
+    chain_memo_stats,
+    clear_chain_memo,
     dual_groth_poly,
     generalized_poly,
     groth_poly,
     groth_poly_dual_route,
     j_poly,
+    skew_groth_poly,
 )
 
 SHAPES = list(enumerate_partitions(4, 4, 4))
@@ -86,3 +93,66 @@ def test_G4_three_variables_specialized_matches_oracle():
         {"x1": Fraction(-5, 2), "x2": Fraction(7, 11), "x3": Fraction(1, 9)},
     ):
         assert val.evaluate(point) == oracle.evaluate({**point, "a": alpha, "b": beta})
+
+
+# the routes and (alpha, beta) points at which the checks specialize
+NEG_AB, NEG_BA = (-ALPHA, -BETA), (-BETA, -ALPHA)
+CHECK_POINTS = [
+    *((route, point) for route in ("G/row", "G/column", "G/dual") for point in (NEG_AB, NEG_BA)),
+    ("g/row", (None, 0)),
+    ("g/column", (None, 0)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(CHECK_POINTS),
+    lam=st.sampled_from(SHAPES),
+    n=st.integers(min_value=0, max_value=3),
+)
+def test_check_points_inside_equal_substituted_after(case, lam, n):
+    route, (alpha, beta) = case
+    build = ROUTES[route]
+    assert equals_late(build(lam, n, alpha=alpha, beta=beta), build(lam, n), alpha, beta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    outer=st.sampled_from(SHAPES),
+    inner=st.sampled_from(SHAPES),
+    n=st.integers(min_value=0, max_value=3),
+)
+def test_skew_negated_parameters_inside_equal_substituted_after(outer, inner, n):
+    if not contains(outer, inner):
+        outer, inner = inner, outer
+    assume(contains(outer, inner))
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    early = skew_groth_poly(outer, inner, xs, alpha=-ALPHA, beta=-BETA)
+    assert equals_late(early, skew_groth_poly(outer, inner, xs), -ALPHA, -BETA)
+
+
+def test_spellings_of_one_value_give_one_spec():
+    for model in (WeightModel.ROW_G, WeightModel.COL_DUAL_G):
+        specs = [
+            TransferSpec(model, alpha=v, beta=w)
+            for v in (1, Fraction(1), RationalFunction.const(1))
+            for w in (0, Fraction(0), RationalFunction.zero())
+        ]
+        assert all(spec == specs[0] for spec in specs)
+        assert len({hash(spec) for spec in specs}) == 1
+    assert TransferSpec(WeightModel.ROW_G, alpha=-ALPHA) == TransferSpec(
+        WeightModel.ROW_G, alpha=as_rf(-1) * ALPHA
+    )
+    assert TransferSpec(WeightModel.ROW_G, alpha=1) != TransferSpec(WeightModel.ROW_G, beta=1)
+    assert TransferSpec(WeightModel.ROW_G, alpha=0) != TransferSpec(WeightModel.ROW_G)
+
+
+def test_spellings_of_one_value_share_memo_entries():
+    lam, n = (2, 1), 3
+    for second, shares in ((Fraction(1), True), (RationalFunction.const(1), True), (2, False)):
+        clear_chain_memo()
+        groth_poly(lam, n - 1, alpha=1)
+        hits = chain_memo_stats()["hits"]
+        groth_poly(lam, n, alpha=second)
+        assert (chain_memo_stats()["hits"] > hits) is shares, second
+    clear_chain_memo()
