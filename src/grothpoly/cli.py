@@ -72,13 +72,14 @@ _READS_WITH_Z = {
     "s_c": ("z",),
 }
 
-# (kind, route) -> constructor(lam, n, encoding, alpha=..., beta=...)
+# (kind, route) -> constructor(lam, n, encoding, alpha=..., beta=...); j
+# drops alpha and beta, being g at (1, 0) of the conjugate
 _HOMOGENEOUS = {
     ("G", "direct"): lambda lam, n, enc, **ab: groth_poly(lam, n, encoding=enc, **ab),
     ("G", "dual"): lambda lam, n, enc, **ab: groth_poly_dual_route(lam, n, **ab),
     ("g", "direct"): lambda lam, n, enc, **ab: as_rf(dual_groth_poly(lam, n, encoding=enc, **ab)),
-    ("j", "direct"): lambda lam, n, enc, **ab: as_rf(j_poly(lam, n, route="direct", **ab)),
-    ("j", "dual"): lambda lam, n, enc, **ab: as_rf(j_poly(lam, n, route="dual", **ab)),
+    ("j", "direct"): lambda lam, n, enc, **ab: as_rf(j_poly(lam, n, route="direct")),
+    ("j", "dual"): lambda lam, n, enc, **ab: as_rf(j_poly(lam, n, route="dual")),
 }
 
 

@@ -567,7 +567,10 @@ def check_skew_cauchy(lam, mu, m: int = 2, n: int = 2, degree_bound: int = 4) ->
         if contains(nu, lam) and contains(nu, mu)
     ]
     below = [
-        nu for nu in enumerate_partitions(min(sum(lam), sum(mu)), 99, 99)
+        nu for nu in enumerate_partitions(
+            min(sum(lam), sum(mu)), min(len(lam), len(mu)),
+            min(lam[0] if lam else 0, mu[0] if mu else 0),
+        )
         if contains(lam, nu) and contains(mu, nu)
     ]
 

@@ -10,8 +10,9 @@ argument is always attached to the line entering at the top.
 
 The tables are written once over factored fractions (see factored), with
 the deformation parameters alpha and beta passed in as values: formal
-(variables ``a`` and ``b``), negated formal, or exact constants.  The
-public vertex_weight and rmatrix_entry return RationalFunction values.
+(variables ``a`` and ``b``), negated formal, or exact constants; j's are
+the row dual-g table at (1, 0) and the five-vertex R-matrix at beta = 0.
+The public vertex_weight and rmatrix_entry return RationalFunction values.
 """
 
 from __future__ import annotations
@@ -134,11 +135,8 @@ def _weight(model, a, b, c, d, x, alpha, beta) -> FFrac:
         return x * (x + alpha) ** (a - 1)
 
     if model is WeightModel.J_ROW:
-        if a == 0:
-            return ONE
-        if d == 0:
-            return x + ONE
-        return x
+        # j is g at (alpha, beta) = (1, 0) on the conjugate; a, c lie in {0, 1}
+        return _weight(WeightModel.ROW_DUAL_G, a, b, c, d, x, ONE, ZERO)
 
     if model is WeightModel.J_ROW_DUAL:
         return _weight(WeightModel.J_ROW, 1 - a, d, 1 - c, b, x, alpha, beta)
@@ -223,17 +221,7 @@ def _entry(family, a, b, c, d, x, y, alpha, beta) -> FFrac:
         return ZERO
 
     if family is RMatrixFamily.J_R:
-        if a == b == c == d == 0 or a == b == c == d == 1:
-            return ONE
-        if (a, b, c, d) == (0, 1, 0, 1):
-            return y / x
-        if (a, b, c, d) == (0, 1, 1, 0):
-            return ZERO
-        if (a, b, c, d) == (1, 0, 1, 0):
-            return ONE
-        if (a, b, c, d) == (1, 0, 0, 1):
-            return ONE - y / x
-        return ZERO
+        return _entry(RMatrixFamily.FIVE_VERTEX_R, a, b, c, d, x, y, alpha, ZERO)
 
     if family is RMatrixFamily.ROW_DUAL_R:
         # first-match cases on (in-bottom b, out-bottom d):

@@ -328,11 +328,11 @@ def dual_groth_poly(
     return _chain_sum(spec, subpartitions, check_partition(lam), _default_vars(n, variables)).as_poly()
 
 
-def j_poly(lam, n: int, route: str = "direct", variables=None, *, alpha=None, beta=None) -> MultiPoly:
+def j_poly(lam, n: int, route: str = "direct", variables=None) -> MultiPoly:
     """Weak dual Grothendieck polynomial j_lam = g^(1,0) of the conjugate."""
     if route not in ("direct", "dual"):
         raise ValueError(f"unknown route {route!r}")
-    spec = TransferSpec(WeightModel.J_ROW, dual=route == "dual", alpha=alpha, beta=beta)
+    spec = TransferSpec(WeightModel.J_ROW, dual=route == "dual")
     return _chain_sum(spec, vertical_strip_subs, check_partition(lam), _default_vars(n, variables)).as_poly()
 
 

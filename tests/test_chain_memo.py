@@ -38,8 +38,9 @@ ROUTES = {
     "G/dual": lambda lam, n, **ab: groth_poly_dual_route(lam, n, **ab),
     "g/row": lambda lam, n, **ab: as_rf(dual_groth_poly(lam, n, **ab)),
     "g/column": lambda lam, n, **ab: as_rf(dual_groth_poly(lam, n, encoding="column", **ab)),
-    "j/direct": lambda lam, n, **ab: as_rf(j_poly(lam, n, route="direct", **ab)),
-    "j/dual": lambda lam, n, **ab: as_rf(j_poly(lam, n, route="dual", **ab)),
+    # j has no alpha or beta: it ignores them, as the CLI does
+    "j/direct": lambda lam, n, **ab: as_rf(j_poly(lam, n, route="direct")),
+    "j/dual": lambda lam, n, **ab: as_rf(j_poly(lam, n, route="dual")),
 }
 
 SHAPES = list(enumerate_partitions(5, 5, 5))
@@ -113,6 +114,19 @@ def test_request_order_does_not_change_output(monkeypatch, budget):
     assert forward == backward
     assert forward[: len(MIX)] == forward[len(MIX) :]
     assert chain_memo_stats()["hits"] > 0
+
+
+def test_specialized_j_request_is_the_formal_one():
+    # j has no alpha or beta, so the CLI's specialized j is served by the
+    # chain-memo entry of the formal j: one hit at the top, no miss
+    clear_chain_memo()
+    j_poly((3, 2, 1), 3)
+    argv = ["compute", "--kind", "j", "--lambda", "3,2,1", "--nvars", "3"]
+    before = chain_memo_stats()
+    specialized = _stdout(argv + ["--alpha=1/2", "--beta=-1"])
+    after = chain_memo_stats()
+    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (1, 0)
+    assert specialized == _stdout(argv)
 
 
 def _value(terms: int) -> FFrac:

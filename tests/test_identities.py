@@ -25,7 +25,7 @@ from grothpoly.identities import (
 )
 from grothpoly.models import RMatrixFamily, WeightModel, vertex_weight
 from grothpoly.algebra import ALPHA, MultiPoly
-from grothpoly.partitions import conjugate, enumerate_partitions
+from grothpoly.partitions import conjugate, contains, enumerate_partitions
 from grothpoly.transfer import groth_poly
 
 
@@ -200,6 +200,25 @@ class TestCauchy:
         assert rep.passed, rep.counterexample
         rep = check_skew_cauchy((2, 1), (1,), 1, 1, degree_bound=3)
         assert rep.passed, rep.counterexample
+
+    @pytest.mark.parametrize(
+        "lam, mu", [((), (2,)), ((1,), ()), ((2, 1), (1, 1)), ((3,), (1, 1, 1)), ((2, 2), (3, 1))]
+    )
+    def test_skew_counts_every_shape_both_contain(self, monkeypatch, lam, mu):
+        # with G zero the check sums nothing, but still counts its shapes
+        monkeypatch.setattr(identities, "skew_groth_poly", lambda *a, **kw: RationalFunction.zero())
+        D = 2
+        wide = max(sum(lam), sum(mu)) + D
+        below = [
+            nu for nu in enumerate_partitions(wide, wide, wide)
+            if contains(lam, nu) and contains(mu, nu)
+        ]
+        above = [
+            nu for nu in enumerate_partitions(sum(lam) + D, wide, wide)
+            if contains(nu, lam) and contains(nu, mu)
+        ]
+        rep = check_skew_cauchy(lam, mu, 1, 1, degree_bound=D)
+        assert rep.parameters["cases"] == len(above) + len(below)
 
     def test_generalized_pairs(self):
         for kind in ("Gg", "Jj"):

@@ -33,8 +33,9 @@ ROUTES = {
     "G/dual": lambda lam, n, **ab: groth_poly_dual_route(lam, n, **ab),
     "g/row": lambda lam, n, **ab: as_rf(dual_groth_poly(lam, n, **ab)),
     "g/column": lambda lam, n, **ab: as_rf(dual_groth_poly(lam, n, encoding="column", **ab)),
-    "j/direct": lambda lam, n, **ab: as_rf(j_poly(lam, n, route="direct", **ab)),
-    "j/dual": lambda lam, n, **ab: as_rf(j_poly(lam, n, route="dual", **ab)),
+    # j has no alpha or beta: it ignores them, as the CLI does
+    "j/direct": lambda lam, n, **ab: as_rf(j_poly(lam, n, route="direct")),
+    "j/dual": lambda lam, n, **ab: as_rf(j_poly(lam, n, route="dual")),
 }
 
 small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=3)

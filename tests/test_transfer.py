@@ -169,6 +169,15 @@ class TestWorkedExamples:
             )
             assert g == as_rf(j_poly(lam, 2))
 
+    @pytest.mark.parametrize("route", ["direct", "dual"])
+    def test_j_is_dual_of_conjugate_at_one_zero(self, route):
+        # the paper's definition, with g specialized inside its chain sum
+        for lam in enumerate_partitions(5, 5, 5):
+            for n in range(4):
+                j = j_poly(lam, n, route=route)
+                assert j == dual_groth_poly(conjugate(lam), n, alpha=1, beta=0), (lam, n)
+                assert not j.variables() & {"a", "b"}, (lam, n)
+
 
 class TestRoutes:
     def test_dual_route_matches(self):
