@@ -92,7 +92,7 @@ def _compute_value(args) -> RationalFunction:
     reads = _READS_WITH_Z[args.kind] if with_z else _READS[args.kind]
     for flag in ("encoding", "route", "alpha", "beta", "z"):
         if getattr(args, flag) is not None and flag not in reads:
-            where = f"--kind {args.kind}" + (" with --z" if args.kind in _READS else "")
+            where = f"--kind {args.kind}" + (" with --z" if args.z is not None else "")
             raise UsageError(f"--{flag} has no effect for {where}")
     if args.route == "dual" and args.encoding == "column":
         raise UsageError("--route dual uses the row encoding; drop --encoding column")

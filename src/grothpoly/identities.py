@@ -5,8 +5,10 @@ relations, and the Cauchy identities.
 
 Every check compares canonical rational functions or exact truncated series;
 no floating point and no load-bearing random evaluation anywhere.  Every
-comparison goes through _mismatch, so failures carry one counterexample format
-(the offending labels and both sides); matrix products go through _compose.
+check but cauchy/G-at-z yields its comparisons to _run, which counts them,
+compares each through _mismatch and reports the first mismatch in one
+counterexample format (the offending labels and both sides); matrix
+products go through _compose, and the Cauchy sums through _series_sum.
 """
 
 from __future__ import annotations
@@ -73,12 +75,6 @@ class CheckReport:
             "counterexample": self.counterexample,
         }
 
-    def fail(self, counterexample: dict) -> "CheckReport":
-        """Mark the check failed at counterexample and return the report."""
-        self.passed = False
-        self.counterexample = counterexample
-        return self
-
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -106,6 +102,22 @@ def _mismatch(lhs, rhs) -> dict | None:
     return {"lhs": rf_to_str(lhs), "rhs": rf_to_str(rhs)}
 
 
+def _run(name: str, params: dict, comparisons, cases: int | None = None) -> CheckReport:
+    """Compare each (where, lhs, rhs) of comparisons, stopping at the first
+    mismatch, and report: failed with {**where, **mismatch} there, and with
+    params["cases"] set either way to the comparisons made, or to cases
+    when the check counts its own (the Cauchy checks count shapes)."""
+    made, counterexample = 0, None
+    for where, lhs, rhs in comparisons:
+        made += 1
+        cex = _mismatch(lhs, rhs)
+        if cex:
+            counterexample = {**where, **cex}
+            break
+    params["cases"] = made if cases is None else cases
+    return CheckReport(name, params, counterexample is None, counterexample)
+
+
 def _row(entry, v, cands):
     """The nonzero entries of row v of a matrix, as (w, entry(v, w)) pairs
     in the order of cands."""
@@ -122,17 +134,13 @@ def _compose(firsts, second, u, total):
     return total
 
 
-def _check_pairs(report: CheckReport, occs, sides) -> CheckReport:
-    """Compare lhs, rhs = sides(v)(u) on every pair of occupancies, bottom v
-    outermost so that sides(v) builds v's rows once; fail at the first mismatch."""
+def _pairs(occs, sides):
+    """The comparisons lhs, rhs = sides(v)(u) on every pair of occupancies,
+    bottom v outermost so that sides(v) builds v's rows once."""
     for v in occs:
         at = sides(v)
         for u in occs:
-            cex = _mismatch(*at(u))
-            if cex:
-                return report.fail({"labels": {"bottom": list(v), "top": list(u)}, **cex})
-    report.parameters["cases"] = len(occs) ** 2
-    return report
+            yield ({"labels": {"bottom": list(v), "top": list(u)}}, *at(u))
 
 
 def laurent_reduce(p: MultiPoly) -> MultiPoly:
@@ -202,47 +210,40 @@ def check_rll(pair: str, aux_max: int = 3, phys_max: int = 4) -> CheckReport:
     xr = (0, 1) if x_fermionic else tuple(range(aux_max + 1))
     yr = (0, 1) if y_fermionic else tuple(range(aux_max + 1))
 
-    report = CheckReport(
-        name=f"rll/{pair}", parameters={"aux_max": aux_max, "phys_max": phys_max}
-    )
-    cases = 0
-    for a, a2, c, c2, b in product(xr, yr, xr, yr, range(phys_max + 1)):
-        d = a + a2 + b - c - c2
-        if not 0 <= d <= phys_max:
-            continue
-        cases += 1
-        labels = {"a": a, "a'": a2, "b": b, "c": c, "c'": c2, "d": d}
-        # each side sums over the internal x-line label g, with y-line label
-        # lines - g and internal physical label g + shift; lo <= g <= hi is
-        # the side's stated internal range
-        sides = []
-        for lines, shift, lo, hi, factors in (
-            (a + a2, b - c, c + c2 - b, a2, lambda g, gy, mid: (
-                (rmat, (a, a2, gy, g)), (wx, (g, b, c, mid)), (wy, (gy, mid, c2, d)))),
-            (c + c2, d - a, a + a2 - d, c2, lambda g, gy, mid: (
-                (wy, (a2, b, gy, mid)), (wx, (a, mid, g, d)), (rmat, (g, gy, c2, c)))),
-        ):
-            total = _ZERO
-            for g in range(lines + 1):
-                gy, mid = lines - g, g + shift
-                if mid < 0 or (x_fermionic and g > 1) or (y_fermionic and gy > 1):
-                    continue
-                t = _lazy_product(factors(g, gy, mid))
-                if t is None:
-                    continue
-                if pair == "col-G" and not lo <= g <= hi:
-                    # terms outside the stated internal range for this pair
-                    # must vanish, which the support conditions guarantee
-                    return report.fail(
-                        {"kind": "internal-range", "labels": {**labels, "g": g}, **_mismatch(t, _ZERO)}
-                    )
-                total = total + t
-            sides.append(total)
-        cex = _mismatch(*sides)
-        if cex:
-            return report.fail({"labels": labels, **cex})
-    report.parameters["cases"] = cases
-    return report
+    def comparisons():
+        for a, a2, c, c2, b in product(xr, yr, xr, yr, range(phys_max + 1)):
+            d = a + a2 + b - c - c2
+            if not 0 <= d <= phys_max:
+                continue
+            labels = {"a": a, "a'": a2, "b": b, "c": c, "c'": c2, "d": d}
+            # each side sums over the internal x-line label g, with y-line
+            # label lines - g and internal physical label g + shift; lo <= g
+            # <= hi is the side's stated internal range
+            sides = []
+            for lines, shift, lo, hi, factors in (
+                (a + a2, b - c, c + c2 - b, a2, lambda g, gy, mid: (
+                    (rmat, (a, a2, gy, g)), (wx, (g, b, c, mid)), (wy, (gy, mid, c2, d)))),
+                (c + c2, d - a, a + a2 - d, c2, lambda g, gy, mid: (
+                    (wy, (a2, b, gy, mid)), (wx, (a, mid, g, d)), (rmat, (g, gy, c2, c)))),
+            ):
+                total = _ZERO
+                for g in range(lines + 1):
+                    gy, mid = lines - g, g + shift
+                    if mid < 0 or (x_fermionic and g > 1) or (y_fermionic and gy > 1):
+                        continue
+                    t = _lazy_product(factors(g, gy, mid))
+                    if t is None:
+                        continue
+                    if pair == "col-G" and not lo <= g <= hi:
+                        # terms outside the stated internal range for this
+                        # pair must vanish, which the support conditions
+                        # guarantee; t is a nonzero product, so this fails
+                        yield {"kind": "internal-range", "labels": {**labels, "g": g}}, t, _ZERO
+                    total = total + t
+                sides.append(total)
+            yield ({"labels": labels}, *sides)
+
+    return _run(f"rll/{pair}", {"aux_max": aux_max, "phys_max": phys_max}, comparisons())
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +262,18 @@ def check_eigenvector(family, max_label: int = 5) -> CheckReport:
     out_bots = (0, 1) if top_f else tuple(range(max_label + 1))
 
     entry = functools.cache(lambda a, b, c, d: factored_entry(fam, a, b, c, d, _X, _Y))
-    report = CheckReport(name=f"eigenvector/{fam.value}", parameters={"max_label": max_label})
-    for ot, ob in product(out_tops, out_bots):
-        total = _ZERO
-        for a in (0, 1) if top_f else range(ot + ob + 1):
-            bb = ot + ob - a
-            if bb < 0 or (bot_f and bb > 1):
-                continue
-            total = total + entry(a, bb, ot, ob)
-        cex = _mismatch(total, _ONE)
-        if cex:
-            return report.fail({"labels": {"out_top": ot, "out_bottom": ob}, **cex})
-    report.parameters["cases"] = len(out_tops) * len(out_bots)
-    return report
+
+    def comparisons():
+        for ot, ob in product(out_tops, out_bots):
+            total = _ZERO
+            for a in (0, 1) if top_f else range(ot + ob + 1):
+                bb = ot + ob - a
+                if bb < 0 or (bot_f and bb > 1):
+                    continue
+                total = total + entry(a, bb, ot, ob)
+            yield {"labels": {"out_top": ot, "out_bottom": ob}}, total, _ONE
+
+    return _run(f"eigenvector/{fam.value}", {"max_label": max_label}, comparisons())
 
 
 def check_unitary(max_label: int = 4) -> CheckReport:
@@ -284,22 +284,18 @@ def check_unitary(max_label: int = 4) -> CheckReport:
     # entries indexed by (top, bottom) label pairs in and out
     f1 = functools.cache(lambda v, w: factored_entry(fam, *v, *w, _X, _Y))
     f2 = functools.cache(lambda w, u: factored_entry(fam, *w, *u, _Y, _X))
-    report = CheckReport(name="unitary/col-G-R", parameters={"max_label": max_label})
     rng = range(max_label + 1)
-    cases = 0
-    for v in product(rng, rng):
-        n = sum(v)
-        firsts = _row(f1, v, [(t, n - t) for t in range(n + 1)])
-        for u in product(rng, rng):
-            if sum(u) != n:
-                continue
-            cases += 1
-            cex = _mismatch(_compose(firsts, f2, u, _ZERO), _ONE if u == v else _ZERO)
-            if cex:
-                labels = {"in_top": v[0], "in_bottom": v[1], "out_top": u[0], "out_bottom": u[1]}
-                return report.fail({"labels": labels, **cex})
-    report.parameters["cases"] = cases
-    return report
+
+    def comparisons():
+        for v in product(rng, rng):
+            n = sum(v)
+            firsts = _row(f1, v, [(t, n - t) for t in range(n + 1)])
+            for u in product(rng, rng):
+                if sum(u) == n:
+                    labels = {"in_top": v[0], "in_bottom": v[1], "out_top": u[0], "out_bottom": u[1]}
+                    yield {"labels": labels}, _compose(firsts, f2, u, _ZERO), _ONE if u == v else _ZERO
+
+    return _run("unitary/col-G-R", {"max_label": max_label}, comparisons())
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +322,7 @@ def _check_inversion(kind, sites, occ_max, with_z, row_model, col_spec, col_x) -
         return lambda u: (_compose(firsts, row2, u, _ZERO), _ONE if u == v else _ZERO)
 
     name = f"inversion/{kind}-" + ("with-z" if with_z else "homogeneous")
-    report = CheckReport(name=name, parameters={"sites": sites, "occ_max": occ_max})
-    return _check_pairs(report, _occupancies(sites, occ_max), sides)
+    return _run(name, {"sites": sites, "occ_max": occ_max}, _pairs(_occupancies(sites, occ_max), sides))
 
 
 def check_inversion_G(sites: int = 3, occ_max: int = 3, with_z: bool = True) -> CheckReport:
@@ -384,8 +379,8 @@ def check_commutation(kind: str, sites: int = 2, occ_max: int = 2, degree_bound:
         xs, ys = _row(rowx, v, mids), _row(rowy, v, mids)
         return lambda u: (_compose(xs, rowy, u, _ZERO), _compose(ys, rowx, u, _ZERO))
 
-    report = CheckReport(name=f"commutation/{kind}", parameters={"sites": sites, "occ_max": occ_max})
-    return _check_pairs(report, _occupancies(sites, occ_max), sides)
+    params = {"sites": sites, "occ_max": occ_max}
+    return _run(f"commutation/{kind}", params, _pairs(_occupancies(sites, occ_max), sides))
 
 
 def _dominates(w, v) -> bool:
@@ -427,7 +422,7 @@ def _check_commutation_mixed(sites: int, occ_max: int, degree_bound: int) -> Che
     svars = {"x1", "y1"}
     # the T* tiles sit at (-alpha, -beta)
     spec_t = TransferSpec(WeightModel.ROW_DUAL_G)
-    spec_T = TransferSpec(WeightModel.ROW_G, dual=True, alpha=-ALPHA, beta=-BETA)
+    spec_T = TransferSpec(WeightModel.ROW_G_DUAL, alpha=-ALPHA, beta=-BETA)
     zero = TruncatedSeries(D)
 
     def series_of(spec, x, admissible):
@@ -462,11 +457,8 @@ def _check_commutation_mixed(sites: int, occ_max: int, degree_bound: int) -> Che
             _compose(Ts, t_series, u, zero),
         )
 
-    report = CheckReport(
-        name="commutation/mixed",
-        parameters={"sites": sites, "occ_max": occ_max, "degree_bound": D},
-    )
-    return _check_pairs(report, occs, sides)
+    params = {"sites": sites, "occ_max": occ_max, "degree_bound": D}
+    return _run("commutation/mixed", params, _pairs(occs, sides))
 
 
 # ---------------------------------------------------------------------------
@@ -489,24 +481,40 @@ def _geometric_kernel(xs, ys, sv, D) -> TruncatedSeries:
     return out
 
 
+def _series_sum(terms, sv, D) -> TruncatedSeries:
+    """The sum over terms, each a pair of factors (or one factor), of their
+    product as series in the variables sv truncated at degree D; a factor
+    is a rational function or a polynomial, and a term with a zero factor
+    adds nothing."""
+    total = TruncatedSeries(D)
+    for factors in terms:
+        if not any(f.is_zero() for f in factors):
+            series = (
+                series_from_rf(f, sv, D) if isinstance(f, RationalFunction)
+                else TruncatedSeries.from_poly(f, sv, D)
+                for f in factors
+            )
+            total = total + functools.reduce(operator.mul, series)
+    return total
+
+
 def check_cauchy_1(m: int, n: int, degree_bound: int = 4) -> CheckReport:
     """Sum of G at (-alpha,-beta) against dual g equals the product kernel
     1/(1 - x_i y_j), as exact truncated series in Q[alpha, beta]."""
     D = degree_bound
     xs, ys = _vars("x", m), _vars("y", n)
     sv = set(xs) | set(ys)
-    lhs = TruncatedSeries(D)
     lams = list(enumerate_partitions(D, m, D))
-    for lam in lams:
-        G = groth_poly(lam, m, variables=xs, alpha=-ALPHA, beta=-BETA)
-        g = dual_groth_poly(lam, n, variables=ys)
-        lhs = lhs + series_from_rf(G, sv, D) * TruncatedSeries.from_poly(g, sv, D)
-    report = CheckReport(
-        name="cauchy/product-kernel",
-        parameters={"m": m, "n": n, "degree_bound": D, "cases": len(lams)},
+    lhs = _series_sum(
+        (
+            (groth_poly(lam, m, variables=xs, alpha=-ALPHA, beta=-BETA),
+             dual_groth_poly(lam, n, variables=ys))
+            for lam in lams
+        ),
+        sv, D,
     )
-    cex = _mismatch(lhs, _geometric_kernel(xs, ys, sv, D))
-    return report.fail(cex) if cex else report
+    comparison = ({}, lhs, _geometric_kernel(xs, ys, sv, D))
+    return _run("cauchy/product-kernel", {"m": m, "n": n, "degree_bound": D}, [comparison], len(lams))
 
 
 def check_cauchy_2(m: int, n: int, degree_bound: int | None = None) -> CheckReport:
@@ -520,38 +528,35 @@ def check_cauchy_2(m: int, n: int, degree_bound: int | None = None) -> CheckRepo
     """
     D = degree_bound if degree_bound is not None else 2 * m * n + 1
     xs, ys = _vars("x", m), _vars("y", n)
+    sv = set(xs) | set(ys)
     binom = MultiPoly.const(1)
     for xv in xs:
         for yv in ys:
             binom = binom * (MultiPoly.const(1) + MultiPoly.var(xv) * MultiPoly.var(yv))
-    report = CheckReport(
-        name="cauchy/binomial-kernel",
-        parameters={"m": m, "n": n, "degree_bound": D, "exact_at_beta_zero": True},
-    )
-
-    # exact finite identity at beta = 0
-    lhs0 = ZERO
-    lams = list(enumerate_partitions(m * n, n, m))
-    for lam in lams:
-        Gc = groth_poly(conjugate(lam), m, variables=xs, alpha=0, beta=-ALPHA)
-        gl = dual_groth_poly(lam, n, variables=ys, beta=0)
-        lhs0 = lhs0 + Gc * RationalFunction(gl, _norm=False)
-    report.parameters["cases"] = len(lams)
-    cex = _mismatch(lhs0, RationalFunction(binom, _norm=False))
-    if cex:
-        return report.fail({"part": "exact-beta-zero", **cex})
-
-    # truncated series at formal alpha, beta
-    sv = set(xs) | set(ys)
-    lhs = TruncatedSeries(D)
+    exact_lams = list(enumerate_partitions(m * n, n, m))
     lams = list(enumerate_partitions(D, D, m))
-    for lam in lams:
-        G = groth_poly(conjugate(lam), m, variables=xs, alpha=-BETA, beta=-ALPHA)
-        g = dual_groth_poly(lam, n, variables=ys)
-        lhs = lhs + series_from_rf(G, sv, D) * TruncatedSeries.from_poly(g, sv, D)
-    report.parameters["cases"] += len(lams)
-    cex = _mismatch(lhs, TruncatedSeries.from_poly(binom, sv, D))
-    return report.fail(cex) if cex else report
+
+    def comparisons():
+        # exact finite identity at beta = 0
+        lhs0 = ZERO
+        for lam in exact_lams:
+            Gc = groth_poly(conjugate(lam), m, variables=xs, alpha=0, beta=-ALPHA)
+            gl = dual_groth_poly(lam, n, variables=ys, beta=0)
+            lhs0 = lhs0 + Gc * RationalFunction(gl, _norm=False)
+        yield {"part": "exact-beta-zero"}, lhs0, RationalFunction(binom, _norm=False)
+        # truncated series at formal alpha, beta
+        lhs = _series_sum(
+            (
+                (groth_poly(conjugate(lam), m, variables=xs, alpha=-BETA, beta=-ALPHA),
+                 dual_groth_poly(lam, n, variables=ys))
+                for lam in lams
+            ),
+            sv, D,
+        )
+        yield {}, lhs, TruncatedSeries.from_poly(binom, sv, D)
+
+    params = {"m": m, "n": n, "degree_bound": D, "exact_at_beta_zero": True}
+    return _run("cauchy/binomial-kernel", params, comparisons(), len(exact_lams) + len(lams))
 
 
 def check_skew_cauchy(lam, mu, m: int = 2, n: int = 2, degree_bound: int = 4) -> CheckReport:
@@ -575,29 +580,18 @@ def check_skew_cauchy(lam, mu, m: int = 2, n: int = 2, degree_bound: int = 4) ->
     ]
 
     def pairing(skews):
-        """Sum of G(x) g(y) over ((G outer, inner), (g outer, inner)) pairs."""
-        total = TruncatedSeries(D)
+        """The (G(x), g(y)) pairs of ((G outer, inner), (g outer, inner))
+        shapes; g is built only where G is nonzero."""
         for G_shapes, g_shapes in skews:
             G = skew_groth_poly(*G_shapes, xs, alpha=-ALPHA, beta=-BETA)
-            if G.is_zero():
-                continue
-            g = skew_dual_groth_poly(*g_shapes, ys)
-            if not g.is_zero():
-                total = total + series_from_rf(G, sv, D) * series_from_rf(g, sv, D)
-        return total
+            if not G.is_zero():
+                yield G, skew_dual_groth_poly(*g_shapes, ys)
 
-    lhs = pairing(((nu, lam), (nu, mu)) for nu in above)
-    rhs_sum = pairing(((mu, nu), (lam, nu)) for nu in below)
-    cases = len(above) + len(below)
-    report = CheckReport(
-        name="cauchy/skew",
-        parameters={
-            "lam": list(lam), "mu": list(mu), "m": m, "n": n, "degree_bound": D,
-            "cases": cases,
-        },
-    )
-    cex = _mismatch(lhs, _geometric_kernel(xs, ys, sv, D) * rhs_sum)
-    return report.fail(cex) if cex else report
+    lhs = _series_sum(pairing(((nu, lam), (nu, mu)) for nu in above), sv, D)
+    rhs_sum = _series_sum(pairing(((mu, nu), (lam, nu)) for nu in below), sv, D)
+    comparison = ({}, lhs, _geometric_kernel(xs, ys, sv, D) * rhs_sum)
+    params = {"lam": list(lam), "mu": list(mu), "m": m, "n": n, "degree_bound": D}
+    return _run("cauchy/skew", params, [comparison], len(above) + len(below))
 
 
 def check_gen_cauchy(kind: str, m: int, n: int, degree_bound: int = 3) -> CheckReport:
@@ -606,32 +600,29 @@ def check_gen_cauchy(kind: str, m: int, n: int, degree_bound: int = 3) -> CheckR
     D = degree_bound
     xs, ys = _vars("x", m), _vars("y", n)
     sv = set(xs) | set(ys)
-    lhs = TruncatedSeries(D)
     if kind == "Gg":
         zcount = m
-        lams = [lam for lam in enumerate_partitions(D, m, D)]
+        lams = list(enumerate_partitions(D, m, D))
     elif kind == "Jj":
         zcount = D
-        lams = [lam for lam in enumerate_partitions(D, D, min(m, n))]
+        lams = list(enumerate_partitions(D, D, min(m, n)))
     else:
         raise ValueError(f"unknown generalised pairing {kind!r}")
     inv_w = [ONE / RationalFunction.var(f"w{j}") for j in range(1, zcount + 1)]
     inv_z = [ONE / RationalFunction.var(f"z{j}") for j in range(1, zcount + 1)]
-    for lam in lams:
-        # kind names the pairing: G against g, or J against j
-        first = generalized_poly(kind[0], lam, m, z=inv_w, variables=xs)
-        second = generalized_poly(kind[1], lam, n, z=inv_z, variables=ys)
-        if first.is_zero() or second.is_zero():
-            continue
-        lhs = lhs + series_from_rf(first, sv, D) * series_from_rf(second, sv, D)
-    report = CheckReport(
-        name=f"cauchy/generalized-{kind}",
-        parameters={"m": m, "n": n, "degree_bound": D, "cases": len(lams)},
+    # kind names the pairing: G against g, or J against j
+    lhs = _series_sum(
+        (
+            (generalized_poly(kind[0], lam, m, z=inv_w, variables=xs),
+             generalized_poly(kind[1], lam, n, z=inv_z, variables=ys))
+            for lam in lams
+        ),
+        sv, D,
     )
     # z and w are never series variables: reduce every coefficient at once
     lhs = TruncatedSeries.from_poly(laurent_reduce(lhs.poly), sv, D)
-    cex = _mismatch(lhs, _geometric_kernel(xs, ys, sv, D))
-    return report.fail(cex) if cex else report
+    comparison = ({}, lhs, _geometric_kernel(xs, ys, sv, D))
+    return _run(f"cauchy/generalized-{kind}", {"m": m, "n": n, "degree_bound": D}, [comparison], len(lams))
 
 
 def check_G_at_z(lam, m: int) -> CheckReport:
@@ -642,12 +633,11 @@ def check_G_at_z(lam, m: int) -> CheckReport:
     inv_w = [ONE / RationalFunction.var(f"w{j}") for j in range(1, m + 1)]
     zs = _vars("z", m)
     val = generalized_poly("G", lam, m, z=inv_w, variables=zs)
-    report = CheckReport(
-        name="cauchy/G-at-z", parameters={"lam": list(lam), "m": m, "cases": 1}
-    )
+    params = {"lam": list(lam), "m": m, "cases": 1}
+    # equal to 1 modulo z_j * w_j = 1; a counterexample shows val unreduced
     if val.is_polynomial() and laurent_reduce(val.num) == MultiPoly.const(1):
-        return report
-    return report.fail(_mismatch(val, ONE))
+        return CheckReport("cauchy/G-at-z", params)
+    return CheckReport("cauchy/G-at-z", params, False, _mismatch(val, ONE))
 
 
 def check_dual_sum_rule(m: int, n: int, degree_bound: int = 3) -> CheckReport:
@@ -657,18 +647,10 @@ def check_dual_sum_rule(m: int, n: int, degree_bound: int = 3) -> CheckReport:
     ys = _vars("y", n)
     sv = set(ys)
     inv_z = [ONE / RationalFunction.var(f"z{j}") for j in range(1, m + 1)]
-    lhs = TruncatedSeries(D)
     lams = list(enumerate_partitions(m * D, m, D))
-    for lam in lams:
-        g = generalized_poly("g", lam, n, z=inv_z, variables=ys)
-        if not g.is_zero():
-            lhs = lhs + series_from_rf(g, sv, D)
-    report = CheckReport(
-        name="cauchy/dual-sum-rule",
-        parameters={"m": m, "n": n, "degree_bound": D, "cases": len(lams)},
-    )
-    cex = _mismatch(lhs, _geometric_kernel(_vars("z", m), ys, sv, D))
-    return report.fail(cex) if cex else report
+    lhs = _series_sum(((generalized_poly("g", lam, n, z=inv_z, variables=ys),) for lam in lams), sv, D)
+    comparison = ({}, lhs, _geometric_kernel(_vars("z", m), ys, sv, D))
+    return _run("cauchy/dual-sum-rule", {"m": m, "n": n, "degree_bound": D}, [comparison], len(lams))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from operator import mul
 
 from .algebra import MultiPoly, RationalFunction, as_rf
 from .factored import ONE, ZERO, FFrac, as_ffrac
@@ -39,7 +40,6 @@ from .partitions import (
 )
 
 _X0 = as_ffrac("x0")
-_DUAL_OF = {WeightModel.ROW_G: WeightModel.ROW_G_DUAL, WeightModel.J_ROW: WeightModel.J_ROW_DUAL}
 
 # The chain memo: the values of _chain_sum, shared by every call in the
 # process, least recently used first.  CHAIN_MEMO_TERMS bounds the
@@ -62,20 +62,18 @@ class TooFewInhomogeneities(ValueError):
 
 @dataclass(frozen=True)
 class TransferSpec:
-    """One transfer matrix: weight family, tile set, site count, and optional
-    per-site inhomogeneities and alpha/beta values (None: formal).  The dual
-    tile set also reverses a chain step: its factor is <nxt|T*(x)|prev>."""
+    """One transfer matrix: weight model (which names the tile set), site
+    count, and optional per-site inhomogeneities and alpha/beta values
+    (None: formal).  A dual tile set (DUAL_BOUNDARY_MODELS) also reverses a
+    chain step: its factor is <nxt|T*(x)|prev>."""
 
     model: WeightModel
-    dual: bool = False
     sites: int | None = None
     inhomogeneities: tuple | None = None
     alpha: RationalFunction | None = None
     beta: RationalFunction | None = None
 
     def __post_init__(self):
-        if self.dual and self.model not in _DUAL_OF:
-            raise ValueError(f"{self.model.value} has no dual tile set")
         # one spelling per value, so equal specs share chain-memo entries
         for name in ("alpha", "beta"):
             if getattr(self, name) is not None:
@@ -88,19 +86,15 @@ class TransferSpec:
     def _hash(self) -> int:
         # hashing the specialized values walks their terms: do it once, as
         # every chain-memo key holds the spec
-        return hash((self.model, self.dual, self.sites, self.inhomogeneities, self.alpha, self.beta))
+        return hash((self.model, self.sites, self.inhomogeneities, self.alpha, self.beta))
 
     @property
-    def weight_model(self) -> WeightModel:
-        return _DUAL_OF[self.model] if self.dual else self.model
-
-    @property
-    def right_boundary(self) -> int:
-        return 1 if self.weight_model in DUAL_BOUNDARY_MODELS else 0
+    def dual(self) -> bool:
+        return self.model in DUAL_BOUNDARY_MODELS
 
     @property
     def fermionic(self) -> bool:
-        return self.weight_model in FERMIONIC_MODELS
+        return self.model in FERMIONIC_MODELS
 
     def encode(self, lam, nsites):
         if self.model in COLUMN_ENCODED_MODELS:
@@ -131,7 +125,7 @@ def row_scanner(spec: TransferSpec, spectrals):
         xs = [x / as_ffrac(zs[i]) for i, x in enumerate(xs)]
     by_site = any((x.num, x.powers) != (xs[0].num, xs[0].powers) for x in xs)
     nsites = len(xs)
-    model, fermionic, right = spec.weight_model, spec.fermionic, spec.right_boundary
+    model, fermionic, right = spec.model, spec.fermionic, 1 if spec.dual else 0
     alpha = FORMAL_ALPHA if spec.alpha is None else as_ffrac(spec.alpha)
     beta = FORMAL_BETA if spec.beta is None else as_ffrac(spec.beta)
     weights: dict = {}
@@ -161,10 +155,7 @@ def row_scanner(spec: TransferSpec, spectrals):
             if w.is_zero():
                 return ZERO
             ws.append(w)
-        out = ONE
-        for w in ws:
-            out = out * w
-        return out
+        return reduce(mul, ws) if ws else ONE
 
     return scan
 
@@ -239,26 +230,24 @@ def _chain_sum(spec: TransferSpec, steps_fn, lam, variables, inner=()):
 
     A computed value sums below * element over the steps into mu.  Every
     element is built once per call, by one row scanner at a shared spectral
-    parameter x0 (made at the first value that misses both memos), and
-    renamed to each step's variable; alpha and beta enter the weight tables
-    as values, never substituted.  Weights, elements and values are
-    factored fractions over the process-wide atom table, so additions and
-    products align exponents instead of running polynomial gcds, and a
-    value means the same in every later call.
+    parameter x0 (made at the first value that misses both memos), held in
+    that scanner's cache and renamed to each step's variable; alpha and
+    beta enter the weight tables as values, never substituted.  Weights,
+    elements and values are factored fractions over the process-wide atom
+    table, so additions and products align exponents instead of running
+    polynomial gcds, and a value means the same in every later call.
     """
     nsites = max(spec.min_sites(lam), spec.sites or 0)
-    scan = None
-    at_x0: dict = {}
+    scan = encode = None
 
     def elem(prev, mu, k):
-        nonlocal scan
-        e = at_x0.get((prev, mu))
-        if e is None:
-            if scan is None:
-                scan = row_scanner(spec, [_X0] * nsites)
-            bottom, top = (mu, prev) if spec.dual else (prev, mu)
-            e = at_x0[(prev, mu)] = scan(spec.encode(bottom, nsites), spec.encode(top, nsites))
-        return e.rename_vars({"x0": variables[k - 1]})
+        nonlocal scan, encode
+        if scan is None:
+            scan = row_scanner(spec, [_X0] * nsites)
+            # a shape is asked for at every step into and out of it
+            encode = cache(lambda p: spec.encode(p, nsites))
+        bottom, top = (mu, prev) if spec.dual else (prev, mu)
+        return scan(encode(bottom), encode(top)).rename_vars({"x0": variables[k - 1]})
 
     base = (spec, steps_fn, inner, nsites)
     prefixes = [tuple(variables[:k]) for k in range(len(variables) + 1)]
@@ -315,7 +304,7 @@ def groth_poly(
 
 def groth_poly_dual_route(lam, n: int, variables=None, *, alpha=None, beta=None) -> RationalFunction:
     """Same polynomial via the dual tiles and right boundary 1."""
-    spec = TransferSpec(WeightModel.ROW_G, dual=True, alpha=alpha, beta=beta)
+    spec = TransferSpec(WeightModel.ROW_G_DUAL, alpha=alpha, beta=beta)
     return _chain_sum(spec, horizontal_strip_subs, check_partition(lam), _default_vars(n, variables))
 
 
@@ -332,7 +321,7 @@ def j_poly(lam, n: int, route: str = "direct", variables=None) -> MultiPoly:
     """Weak dual Grothendieck polynomial j_lam = g^(1,0) of the conjugate."""
     if route not in ("direct", "dual"):
         raise ValueError(f"unknown route {route!r}")
-    spec = TransferSpec(WeightModel.J_ROW, dual=route == "dual")
+    spec = TransferSpec(WeightModel.J_ROW_DUAL if route == "dual" else WeightModel.J_ROW)
     return _chain_sum(spec, vertical_strip_subs, check_partition(lam), _default_vars(n, variables)).as_poly()
 
 

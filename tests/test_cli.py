@@ -156,6 +156,18 @@ class TestComputeContract:
         assert captured.out == ""
         assert captured.err.startswith("error: --")
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kind", "j", "--encoding", "column"], "--encoding has no effect for --kind j"),
+            (["--kind", "g", "--route", "dual"], "--route has no effect for --kind g"),
+            (["--kind", "G", "--z", "formal", "--beta", "1"], "--beta has no effect for --kind G with --z"),
+        ],
+    )
+    def test_usage_error_names_z_only_when_given(self, capsys, flags, message):
+        assert main(["compute", "--lambda", "2,1", "--nvars", "2", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_flags_the_kind_reads_are_accepted(self, run):
         for flags in (
             ["--kind", "G", "--route", "dual", "--encoding", "row", "--alpha", "1", "--beta", "2"],

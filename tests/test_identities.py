@@ -130,6 +130,8 @@ class TestEigenvector:
         cex = rep.counterexample
         assert cex["labels"] == {"out_top": 1, "out_bottom": 1}
         assert cex["rhs"] == "1" and cex["lhs"] not in ("", "1")
+        # outgoing labels run (0, 0), (0, 1), ..., (1, 1): the sixth failed
+        assert rep.parameters["cases"] == 6
 
 
 def test_unitary_small():
@@ -255,6 +257,24 @@ def test_report_shape():
     d = rep.to_dict()
     assert set(d) == {"name", "passed", "params", "counterexample"}
     assert d["passed"] and d["counterexample"] is None
+
+
+@pytest.mark.parametrize("failing", [None, 1])
+def test_run_counts_comparisons_up_to_the_first_mismatch(failing):
+    def comparisons():
+        for i in range(3):
+            if failing is not None and i > failing:
+                raise AssertionError("a comparison after the first mismatch was built")
+            yield {"labels": {"i": i}}, as_ffrac(2 if i == failing else 1), as_ffrac(1)
+
+    rep = identities._run("demo", {"k": 1}, comparisons())
+    if failing is None:
+        assert rep.passed and rep.counterexample is None
+        assert rep.parameters == {"k": 1, "cases": 3}
+    else:
+        assert not rep.passed
+        assert rep.counterexample == {"labels": {"i": 1}, "lhs": "2", "rhs": "1"}
+        assert rep.parameters == {"k": 1, "cases": 2}
 
 
 def test_run_suite_names():

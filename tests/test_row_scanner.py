@@ -1,7 +1,8 @@
 """transfer.row_scanner against a plain scan kept here, which builds every
-vertex weight afresh at its own site: all seven weight models, the dual
-tile sets, occupancies shorter than the row (padded with 0), per-site
-inhomogeneities, per-site spectral parameters and specialized alpha, beta.
+vertex weight afresh at its own site: all seven weight models (the two
+dual tile sets among them), occupancies shorter than the row (padded
+with 0), per-site inhomogeneities, per-site spectral parameters and
+specialized alpha, beta.
 
 The scanner caches each vertex weight, keyed by site only when the
 spectral parameters over their inhomogeneities differ from site to site;
@@ -18,14 +19,9 @@ from hypothesis import strategies as st
 from grothpoly import transfer
 from grothpoly.algebra import ALPHA, RationalFunction
 from grothpoly.factored import ONE, ZERO, as_ffrac
-from grothpoly.models import FORMAL_ALPHA, FORMAL_BETA, WeightModel, factored_weight
+from grothpoly.models import DUAL_BOUNDARY_MODELS, FORMAL_ALPHA, FORMAL_BETA, WeightModel, factored_weight
 from grothpoly.transfer import TransferSpec, row_configuration_weight, row_scanner
 
-# (model, dual) pairs: the seven weight models, the two duals also as tile sets
-SPECS = [(model, False) for model in WeightModel] + [
-    (WeightModel.ROW_G, True),
-    (WeightModel.J_ROW, True),
-]
 OCC_MAX = 2
 
 
@@ -35,7 +31,7 @@ def plain_scan(spec: TransferSpec, spectrals, bottom, top):
     alpha = FORMAL_ALPHA if spec.alpha is None else as_ffrac(spec.alpha)
     beta = FORMAL_BETA if spec.beta is None else as_ffrac(spec.beta)
     out = ONE
-    c = spec.right_boundary
+    c = 1 if spec.model in DUAL_BOUNDARY_MODELS else 0
     for i in reversed(range(len(spectrals))):
         b = bottom[i] if i < len(bottom) else 0
         d = top[i] if i < len(top) else 0
@@ -45,7 +41,7 @@ def plain_scan(spec: TransferSpec, spectrals, bottom, top):
         x = as_ffrac(spectrals[i])
         if spec.inhomogeneities is not None:
             x = x / as_ffrac(spec.inhomogeneities[i])
-        out = out * factored_weight(spec.weight_model, a, b, c, d, x, alpha, beta)
+        out = out * factored_weight(spec.model, a, b, c, d, x, alpha, beta)
         c = a
     return out
 
@@ -90,7 +86,7 @@ def make_inhomogeneities(kind, nsites: int):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    spec=st.sampled_from(SPECS),
+    model=st.sampled_from(list(WeightModel)),
     nsites=st.integers(min_value=1, max_value=3),
     pad=st.integers(min_value=0, max_value=2),
     spectrals=spectral_sets,
@@ -98,25 +94,24 @@ def make_inhomogeneities(kind, nsites: int):
     alpha=values,
     beta=values,
 )
-def test_scanner_matches_plain_scan(spec, nsites, pad, spectrals, zs, alpha, beta):
-    model, dual = spec
+def test_scanner_matches_plain_scan(model, nsites, pad, spectrals, zs, alpha, beta):
     spec = TransferSpec(
-        model, dual=dual, inhomogeneities=make_inhomogeneities(zs, nsites), alpha=alpha, beta=beta
+        model, inhomogeneities=make_inhomogeneities(zs, nsites), alpha=alpha, beta=beta
     )
     assert_scanner_matches(spec, make_spectrals(spectrals, nsites), max(0, nsites - pad))
 
 
-@pytest.mark.parametrize("model, dual", SPECS)
-def test_inhomogeneities_with_identical_spectrals(model, dual):
+@pytest.mark.parametrize("model", list(WeightModel))
+def test_inhomogeneities_with_identical_spectrals(model):
     # the spectrals alone would share one weight per label across sites
     zs = tuple(RationalFunction.var(f"z{i}") for i in (1, 2, 3))
-    assert_scanner_matches(TransferSpec(model, dual=dual, inhomogeneities=zs), ["x1"] * 3, 3)
+    assert_scanner_matches(TransferSpec(model, inhomogeneities=zs), ["x1"] * 3, 3)
 
 
-@pytest.mark.parametrize("model, dual", SPECS)
-def test_sites_pad_row_configuration_weight(model, dual):
+@pytest.mark.parametrize("model", list(WeightModel))
+def test_sites_pad_row_configuration_weight(model):
     for sites in (2, 3):
-        spec = TransferSpec(model, dual=dual, sites=sites)
+        spec = TransferSpec(model, sites=sites)
         for bottom in occupancies(1):
             for top in occupancies(1):
                 want = plain_scan(spec, ["x1"] * sites, bottom, top).to_rf()

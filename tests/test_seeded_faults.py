@@ -1,6 +1,7 @@
 """Seeded faults: every check kind, run on a deliberately broken vertex
 weight, R-matrix entry or polynomial, fails and reports its first
-counterexample exactly as recorded in data/seeded_faults.json.
+counterexample exactly as recorded in data/seeded_faults.json, with the
+number of cases it checked.
 
 Weights reach the transfer-matrix checks through transfer.factored_weight,
 entries reach the R-matrix checks through identities.factored_entry, and
@@ -164,3 +165,4 @@ def test_seeded_fault_reports_its_counterexample(name, monkeypatch):
     report = FAULTS[name](monkeypatch)
     assert not report.passed
     assert report.counterexample == EXPECTED[name]
+    assert report.parameters["cases"] >= 1
