@@ -27,10 +27,8 @@ from .models import (
     RMatrixFamily,
     UndefinedAtBetaZero,
     WeightModel,
-    rmatrix_case_precedence,
     rmatrix_entry,
     vertex_weight,
-    vertex_weight_inhom,
 )
 from .oracles import branch_poly, skew_weight
 from .partitions import (

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import compress, count, repeat
 from math import gcd as _igcd, lcm as _ilcm
@@ -524,22 +524,6 @@ class MultiPoly:
             total += v
         return total
 
-    def scale_vars(self, mapping: dict) -> "MultiPoly":
-        """Substitute v -> t*v for rational t (t = 0 drops the variable)."""
-        factors = [(_SHIFTS.get(v), _coeff(t)) for v, t in mapping.items()]
-        factors = [(s, t) for s, t in factors if s is not None]
-        out: dict = {}
-        for m, c in self.terms.items():
-            for s, t in factors:
-                e = (m >> s) & MAX_EXPONENT
-                if e:
-                    if not t:
-                        break
-                    c = c * t**e
-            else:
-                out[m] = c
-        return MultiPoly._of(out, _canonical(out))
-
     def substitute(self, bindings: dict) -> "RationalFunction":
         """Simultaneous substitution; values may be rational functions."""
         vals = {k: as_rf(v) for k, v in bindings.items()}
@@ -547,20 +531,6 @@ class MultiPoly:
         bound = sorted((v for v in vals if v in _SHIFTS), key=var_key)
         bound = [(v, _SHIFTS[v]) for v in bound]
         keep = ~_mask(vals)
-        if all(v.is_polynomial() for v in vals.values()):
-            polys = {k: v.num for k, v in vals.items()}
-            ppow = cache(lambda name, e: polys[name] ** e)
-
-            total = MultiPoly()
-            for m, c in self.terms.items():
-                term = MultiPoly.const(c)
-                for name, s in bound:
-                    e = (m >> s) & MAX_EXPONENT
-                    if e:
-                        term = term * ppow(name, e)
-                term = term._shifted(m & keep)
-                total = total + term
-            return RationalFunction(total, _norm=False)
         total = RationalFunction.zero()
         for m, c in self.terms.items():
             term = RationalFunction.const(c)

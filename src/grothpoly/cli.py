@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import (
+    ExponentOverflow,
     RationalFunction,
     as_rf,
     rf_to_json,
@@ -116,6 +117,8 @@ def _cmd_compute(args, out) -> int:
         val = _compute_value(args)
     except (ZeroDivisionError, TooFewInhomogeneities) as exc:
         raise UsageError(f"cannot compute at the given values: {exc}") from exc
+    except ExponentOverflow as exc:
+        raise UsageError(f"the result is out of range: {exc}") from exc
     if args.format == "plain":
         out.write(rf_to_str(val) + "\n")
     elif args.format == "latex":

@@ -251,11 +251,5 @@ class FactorRegistry:
         for p in seeds:
             factor(p)
 
-    def one(self) -> FFrac:
-        return ONE
-
-    def zero(self) -> FFrac:
-        return ZERO
-
     def from_rf(self, f: RationalFunction) -> FFrac:
         return as_ffrac(f)

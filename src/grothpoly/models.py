@@ -144,11 +144,6 @@ def _weight(model, a, b, c, d, x, alpha, beta) -> FFrac:
     raise ValueError(f"unknown weight model {model!r}")
 
 
-def vertex_weight_inhom(model: WeightModel, a, b, c, d, x, z) -> RationalFunction:
-    """Weight with a column inhomogeneity: spectral parameter x/z."""
-    return vertex_weight(model, a, b, c, d, as_ffrac(x) / as_ffrac(z))
-
-
 _FERMIONIC_R_LINES = {
     RMatrixFamily.FIVE_VERTEX_R: (True, True),
     RMatrixFamily.ROW_DUAL_R: (False, False),
@@ -274,43 +269,3 @@ def _entry(family, a, b, c, d, x, y, alpha, beta) -> FFrac:
 
     raise ValueError(f"unknown R-matrix family {family!r}")
 
-
-_CASE_ORDERS = {
-    RMatrixFamily.FIVE_VERTEX_R: (
-        "dense 4x4 table, cases disjoint: diagonal 1s, crossing entry, its complement",
-    ),
-    RMatrixFamily.J_R: (
-        "dense 4x4 table, cases disjoint: beta = 0 limit of the five-vertex table",
-    ),
-    RMatrixFamily.ROW_DUAL_R: (
-        "0 when in-bottom > out-bottom",
-        "1 when in-bottom = out-bottom = 0",
-        "y/x when in-bottom = out-bottom > 0",
-        "(1 - y/x)(1 - y/beta)^(a-c-1) when in-bottom = 0",
-        "(1 - y/x)(1 - y/beta)^(a-c-1) (y/beta) when in-bottom > 0",
-    ),
-    RMatrixFamily.COL_G_R: (
-        "0 when in-bottom < out-bottom",
-        "prefactor alone when in-bottom = out-bottom",
-        "prefactor times (1 - X/Y) otherwise",
-    ),
-    RMatrixFamily.COL_DUAL_R: (
-        "0 when in-bottom < out-bottom",
-        "1 when k = l = 0",
-        "(x/y)((y+alpha)/(x+alpha))^(1-k) when k = l > 0",
-        "1 - x/y when k = 0",
-        "(x/y)((y+alpha)/(x+alpha) - 1)((y+alpha)/(x+alpha))^(-k) when k > 0",
-    ),
-    RMatrixFamily.MIXED_R: (
-        "1 when all labels are 0",
-        "1 - x y when j = k = 1 and i = l = 0",
-        "x y when k = l = 0 and i = j = 1",
-        "1 - x beta when k = 1",
-        "x beta when k = 0",
-    ),
-}
-
-
-def rmatrix_case_precedence(family: RMatrixFamily) -> tuple[str, ...]:
-    """First-match case order used by rmatrix_entry: most specific first."""
-    return _CASE_ORDERS[family]

@@ -9,6 +9,7 @@ two-route check.
 
 from __future__ import annotations
 
+from . import factored
 from .algebra import ALPHA, BETA, RationalFunction, as_rf
 from .factored import FactorRegistry
 from .partitions import (
@@ -72,14 +73,13 @@ def skew_weight(kind: str, lam, mu, x) -> RationalFunction:
 _STEPS = {"G": horizontal_strip_subs, "g": subpartitions, "j": vertical_strip_subs}
 
 
-def branch_poly(kind: str, lam, n: int, variables=None) -> RationalFunction:
+def branch_poly(kind: str, lam, n: int) -> RationalFunction:
     """n-variable polynomial by the branching recursion
     F_lam(x_1..x_n) = sum_mu F_mu(x_1..x_{n-1}) * skew(lam, mu)(x_n)."""
     if kind not in _STEPS:
         raise ValueError(f"unknown branching kind {kind!r}")
     lam = check_partition(lam)
-    if variables is None:
-        variables = [f"x{i}" for i in range(1, n + 1)]
+    variables = [f"x{i}" for i in range(1, n + 1)]
     steps = _STEPS[kind]
     # the only denominators are powers of (1 - a*x_k) from the G weights
     seeds = [
@@ -90,13 +90,13 @@ def branch_poly(kind: str, lam, n: int, variables=None) -> RationalFunction:
 
     def value(mu, k):
         if k == 0:
-            return reg.one() if mu == () else reg.zero()
+            return factored.ONE if mu == () else factored.ZERO
         key = (mu, k)
         got = memo.get(key)
         if got is not None:
             return got
         xk = RationalFunction.var(variables[k - 1])
-        total = reg.zero()
+        total = factored.ZERO
         for prev in steps(mu):
             below = value(prev, k - 1)
             if below.is_zero():

@@ -62,13 +62,12 @@ class TooFewInhomogeneities(ValueError):
 
 @dataclass(frozen=True)
 class TransferSpec:
-    """One transfer matrix: weight model (which names the tile set), site
-    count, and optional per-site inhomogeneities and alpha/beta values
+    """One transfer matrix: weight model (which names the tile set and the
+    chain step), and optional per-site inhomogeneities and alpha/beta values
     (None: formal).  A dual tile set (DUAL_BOUNDARY_MODELS) also reverses a
     chain step: its factor is <nxt|T*(x)|prev>."""
 
     model: WeightModel
-    sites: int | None = None
     inhomogeneities: tuple | None = None
     alpha: RationalFunction | None = None
     beta: RationalFunction | None = None
@@ -86,7 +85,7 @@ class TransferSpec:
     def _hash(self) -> int:
         # hashing the specialized values walks their terms: do it once, as
         # every chain-memo key holds the spec
-        return hash((self.model, self.sites, self.inhomogeneities, self.alpha, self.beta))
+        return hash((self.model, self.inhomogeneities, self.alpha, self.beta))
 
     @property
     def dual(self) -> bool:
@@ -95,6 +94,18 @@ class TransferSpec:
     @property
     def fermionic(self) -> bool:
         return self.model in FERMIONIC_MODELS
+
+    @property
+    def steps(self):
+        """The partitions one row can step between, as a function of the
+        larger shape: horizontal strips for G, any subshape for g, vertical
+        strips for j.  Read from the module globals when asked for, so a
+        rebound step function is the one a chain calls."""
+        if self.model in (WeightModel.ROW_DUAL_G, WeightModel.COL_DUAL_G):
+            return subpartitions
+        if self.model in (WeightModel.J_ROW, WeightModel.J_ROW_DUAL):
+            return vertical_strip_subs
+        return horizontal_strip_subs
 
     def encode(self, lam, nsites):
         if self.model in COLUMN_ENCODED_MODELS:
@@ -163,7 +174,7 @@ def row_scanner(spec: TransferSpec, spectrals):
 def row_configuration_weight(spec: TransferSpec, bottom, top, x) -> RationalFunction:
     """Weight of the unique single-row configuration with the given bottom
     and top occupancies; 0 when some label leaves the admissible range."""
-    nsites = max(len(bottom), len(top), spec.sites or 0)
+    nsites = max(len(bottom), len(top))
     return row_scanner(spec, [x] * nsites)(tuple(bottom), tuple(top)).to_rf()
 
 
@@ -171,7 +182,7 @@ def transfer_element(spec: TransferSpec, mu, lam, x) -> RationalFunction:
     """Matrix element <mu|T(x)|lam> under the spec's encoding."""
     mu = check_partition(mu)
     lam = check_partition(lam)
-    nsites = max(spec.min_sites(mu), spec.min_sites(lam), spec.sites or 0)
+    nsites = max(spec.min_sites(mu), spec.min_sites(lam))
     return row_configuration_weight(
         spec, spec.encode(mu, nsites), spec.encode(lam, nsites), x
     )
@@ -217,16 +228,17 @@ def _memo_put(key, value: FFrac) -> None:
     _MEMO_STATS["stored_terms"] = stored
 
 
-def _chain_sum(spec: TransferSpec, steps_fn, lam, variables, inner=()):
+def _chain_sum(spec: TransferSpec, lam, variables, inner=()):
     """Sum over chains inner = mu0 <= ... <= mun = lam of products of
-    single-row elements, the k-th step at spectral parameter variables[k-1].
+    single-row elements, the k-th step at spectral parameter variables[k-1]
+    and each step one of spec.steps.
 
     value(mu, k), the sum over the chains that reach mu in k steps, is a
-    whole answer to a smaller request: it depends only on the spec, the
-    step function, inner, the site count, mu and variables[:k].  A value is
-    looked up in the call's own dict, then in the process-wide chain memo
-    under that key, and computed only when both miss; a repeated request is
-    a hit at the top and does no chain arithmetic.
+    whole answer to a smaller request: it depends only on the spec, inner,
+    the site count, mu and variables[:k].  A value is looked up in the
+    call's own dict, then in the process-wide chain memo under that key,
+    and computed only when both miss; a repeated request is a hit at the
+    top and does no chain arithmetic.
 
     A computed value sums below * element over the steps into mu.  Every
     element is built once per call, by one row scanner at a shared spectral
@@ -237,7 +249,8 @@ def _chain_sum(spec: TransferSpec, steps_fn, lam, variables, inner=()):
     table, so additions and products align exponents instead of running
     polynomial gcds, and a value means the same in every later call.
     """
-    nsites = max(spec.min_sites(lam), spec.sites or 0)
+    nsites = spec.min_sites(lam)
+    steps = spec.steps
     scan = encode = None
 
     def elem(prev, mu, k):
@@ -249,7 +262,7 @@ def _chain_sum(spec: TransferSpec, steps_fn, lam, variables, inner=()):
         bottom, top = (mu, prev) if spec.dual else (prev, mu)
         return scan(encode(bottom), encode(top)).rename_vars({"x0": variables[k - 1]})
 
-    base = (spec, steps_fn, inner, nsites)
+    base = (spec, inner, nsites)
     prefixes = [tuple(variables[:k]) for k in range(len(variables) + 1)]
     memo: dict = {}
 
@@ -263,7 +276,7 @@ def _chain_sum(spec: TransferSpec, steps_fn, lam, variables, inner=()):
         got = _memo_get(key)
         if got is None:
             got = ZERO
-            for prev in steps_fn(mu):
+            for prev in steps(mu):
                 below = value(prev, k - 1)
                 if below.is_zero():
                     continue
@@ -299,13 +312,13 @@ def groth_poly(
     formal unless given as exact values."""
     model = WeightModel.ROW_G if encoding == "row" else WeightModel.COL_G
     spec = TransferSpec(model, alpha=alpha, beta=beta)
-    return _chain_sum(spec, horizontal_strip_subs, check_partition(lam), _default_vars(n, variables))
+    return _chain_sum(spec, check_partition(lam), _default_vars(n, variables))
 
 
 def groth_poly_dual_route(lam, n: int, variables=None, *, alpha=None, beta=None) -> RationalFunction:
     """Same polynomial via the dual tiles and right boundary 1."""
     spec = TransferSpec(WeightModel.ROW_G_DUAL, alpha=alpha, beta=beta)
-    return _chain_sum(spec, horizontal_strip_subs, check_partition(lam), _default_vars(n, variables))
+    return _chain_sum(spec, check_partition(lam), _default_vars(n, variables))
 
 
 def dual_groth_poly(
@@ -314,7 +327,7 @@ def dual_groth_poly(
     """Dual canonical Grothendieck polynomial; always a polynomial."""
     model = WeightModel.ROW_DUAL_G if encoding == "row" else WeightModel.COL_DUAL_G
     spec = TransferSpec(model, alpha=alpha, beta=beta)
-    return _chain_sum(spec, subpartitions, check_partition(lam), _default_vars(n, variables)).as_poly()
+    return _chain_sum(spec, check_partition(lam), _default_vars(n, variables)).as_poly()
 
 
 def j_poly(lam, n: int, route: str = "direct", variables=None) -> MultiPoly:
@@ -322,17 +335,17 @@ def j_poly(lam, n: int, route: str = "direct", variables=None) -> MultiPoly:
     if route not in ("direct", "dual"):
         raise ValueError(f"unknown route {route!r}")
     spec = TransferSpec(WeightModel.J_ROW_DUAL if route == "dual" else WeightModel.J_ROW)
-    return _chain_sum(spec, vertical_strip_subs, check_partition(lam), _default_vars(n, variables)).as_poly()
+    return _chain_sum(spec, check_partition(lam), _default_vars(n, variables)).as_poly()
 
 
-# kind -> (model, chain steps, on the conjugate?, (alpha, beta) per unit of alpha)
+# kind -> (model, on the conjugate?, (alpha, beta) per unit of alpha)
 _GENERALIZED = {
-    "G": (WeightModel.COL_G, horizontal_strip_subs, False, (0, -1)),
-    "g": (WeightModel.COL_DUAL_G, subpartitions, False, (0, 1)),
-    "J": (WeightModel.ROW_G, horizontal_strip_subs, True, (-1, 0)),
-    "j": (WeightModel.ROW_DUAL_G, subpartitions, True, (1, 0)),
-    "s_r": (WeightModel.ROW_G, horizontal_strip_subs, False, (0, 0)),
-    "s_c": (WeightModel.COL_G, horizontal_strip_subs, False, (0, 0)),
+    "G": (WeightModel.COL_G, False, (0, -1)),
+    "g": (WeightModel.COL_DUAL_G, False, (0, 1)),
+    "J": (WeightModel.ROW_G, True, (-1, 0)),
+    "j": (WeightModel.ROW_DUAL_G, True, (1, 0)),
+    "s_r": (WeightModel.ROW_G, False, (0, 0)),
+    "s_c": (WeightModel.COL_G, False, (0, 0)),
 }
 
 
@@ -353,7 +366,7 @@ def generalized_poly(kind: str, lam, n: int, z=None, alpha=1, variables=None) ->
             f"kind {kind!r} is not one of the admissible pairings {tuple(_GENERALIZED)}"
         )
     lam = check_partition(lam)
-    model, steps, conj, (ka, kb) = _GENERALIZED[kind]
+    model, conj, (ka, kb) = _GENERALIZED[kind]
     target = conjugate(lam) if conj else lam
     al = as_rf(alpha)
     nsites = TransferSpec(model).min_sites(target)
@@ -364,23 +377,19 @@ def generalized_poly(kind: str, lam, n: int, z=None, alpha=1, variables=None) ->
         if len(zs) < nsites:
             raise TooFewInhomogeneities(f"need at least {nsites} inhomogeneities for {lam}")
     spec = TransferSpec(model, inhomogeneities=zs[:nsites], alpha=ka * al, beta=kb * al)
-    return _chain_sum(spec, steps, target, _default_vars(n, variables))
+    return _chain_sum(spec, target, _default_vars(n, variables))
 
 
-def skew_groth_poly(
-    outer, inner, variables, encoding: str = "row", *, alpha=None, beta=None
-) -> RationalFunction:
+def skew_groth_poly(outer, inner, variables, *, alpha=None, beta=None) -> RationalFunction:
     """Multivariable skew canonical Grothendieck polynomial: chain sum of
     horizontal strips from inner to outer; alpha and beta stay formal
     unless given as exact values."""
     outer, inner = check_partition(outer), check_partition(inner)
-    model = WeightModel.ROW_G if encoding == "row" else WeightModel.COL_G
-    spec = TransferSpec(model, alpha=alpha, beta=beta)
-    return _chain_sum(spec, horizontal_strip_subs, outer, list(variables), inner=inner)
+    spec = TransferSpec(WeightModel.ROW_G, alpha=alpha, beta=beta)
+    return _chain_sum(spec, outer, list(variables), inner=inner)
 
 
-def skew_dual_groth_poly(outer, inner, variables, encoding: str = "row") -> RationalFunction:
+def skew_dual_groth_poly(outer, inner, variables) -> RationalFunction:
     """Multivariable skew dual polynomial: chain sum over subpartition steps."""
     outer, inner = check_partition(outer), check_partition(inner)
-    model = WeightModel.ROW_DUAL_G if encoding == "row" else WeightModel.COL_DUAL_G
-    return _chain_sum(TransferSpec(model), subpartitions, outer, list(variables), inner=inner)
+    return _chain_sum(TransferSpec(WeightModel.ROW_DUAL_G), outer, list(variables), inner=inner)

@@ -303,3 +303,11 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_exponent_overflow_exits_two_with_one_error_line(self):
+        # G_(40000) in one variable has x1**40000, past the largest stored exponent
+        proc = self.run_module("compute", "--kind", "G", "--lambda", "40000", "--nvars", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr

@@ -10,10 +10,8 @@ from grothpoly.models import (
     RMatrixFamily,
     UndefinedAtBetaZero,
     WeightModel,
-    rmatrix_case_precedence,
     rmatrix_entry,
     vertex_weight,
-    vertex_weight_inhom,
 )
 from grothpoly.transfer import TransferSpec, row_configuration_weight
 
@@ -125,19 +123,20 @@ class TestDualTiles:
 class TestSpecializations:
     def test_j_row_equals_dual_g_at_one_zero(self):
         # single-row weights agree on every occupancy pair, <= 4 sites, entries <= 3
+        spec_j = TransferSpec(WeightModel.J_ROW)
+        spec_g = TransferSpec(WeightModel.ROW_DUAL_G, alpha=1, beta=0)
         for nsites in (1, 2, 3, 4):
-            spec_j = TransferSpec(WeightModel.J_ROW, sites=nsites)
-            spec_g = TransferSpec(WeightModel.ROW_DUAL_G, sites=nsites, alpha=1, beta=0)
+            pad = (0,) * (nsites - min(nsites, 2))  # empty sites up to nsites
             for bottom in product(range(4), repeat=min(nsites, 2)):
                 for top in product(range(4), repeat=min(nsites, 2)):
-                    wj = row_configuration_weight(spec_j, bottom, top, X)
-                    wg = row_configuration_weight(spec_g, bottom, top, X)
+                    wj = row_configuration_weight(spec_j, bottom, top + pad, X)
+                    wg = row_configuration_weight(spec_g, bottom, top + pad, X)
                     assert wj == wg, (nsites, bottom, top)
 
 
 class TestInhomogeneous:
     def test_col_G_box_weight(self):
-        w = vertex_weight_inhom(WeightModel.COL_G, 1, 0, 0, 1, X, Z)
+        w = vertex_weight(WeightModel.COL_G, 1, 0, 0, 1, X / Z)
         assert w.substitute({"a": RationalFunction.zero(), "b": -ONE}) == X / Z
 
     def test_vacuum_tiles(self):
@@ -146,12 +145,12 @@ class TestInhomogeneous:
 
         for model in WeightModel:
             if model in DUAL_BOUNDARY_MODELS:
-                assert vertex_weight_inhom(model, 1, 0, 1, 0, X, Z) == ONE
+                assert vertex_weight(model, 1, 0, 1, 0, X / Z) == ONE
             else:
-                assert vertex_weight_inhom(model, 0, 0, 0, 0, X, Z) == ONE
+                assert vertex_weight(model, 0, 0, 0, 0, X / Z) == ONE
 
     def test_j_row_substitution(self):
-        assert vertex_weight_inhom(WeightModel.J_ROW, 1, 0, 1, 0, X, Z) == X / Z + ONE
+        assert vertex_weight(WeightModel.J_ROW, 1, 0, 1, 0, X / Z) == X / Z + ONE
 
 
 class TestRMatrixEntries:
@@ -208,16 +207,3 @@ class TestRMatrixEntries:
                         continue
                     assert w.is_zero()
 
-
-def test_case_precedence_mixed():
-    order = rmatrix_case_precedence(RMatrixFamily.MIXED_R)
-    assert order[0].startswith("1 when all labels")
-    assert "1 - x y" in order[1]
-    assert "x y" in order[2]
-    assert order[3].endswith("k = 1")
-    assert order[4].endswith("k = 0")
-
-
-def test_case_precedence_col_dual_r():
-    order = rmatrix_case_precedence(RMatrixFamily.COL_DUAL_R)
-    assert order[0].startswith("0 when")

@@ -24,6 +24,5 @@ def test_stored_degree_is_the_exponent_sum(m1, m2, p, name, k):
     assert q == m1 and exact(q)
     assert m1.divide(m2) is None or exact(m1.divide(m2))
     assert all(exact(m) for m, _ in p.coeff_in(name, k).items())
-    assert all(exact(m) for m, _ in p.scale_vars({name: 2}).items())
     assert all(exact(m) for m, _ in p.rename_vars({name: "w1"}).items())
     assert all(exact(m) for m, _ in (p * p).items())

@@ -110,10 +110,11 @@ def test_inhomogeneities_with_identical_spectrals(model):
 
 @pytest.mark.parametrize("model", list(WeightModel))
 def test_sites_pad_row_configuration_weight(model):
+    # the longer occupancy tuple sets the site count; the shorter is padded with 0
+    spec = TransferSpec(model)
     for sites in (2, 3):
-        spec = TransferSpec(model, sites=sites)
         for bottom in occupancies(1):
-            for top in occupancies(1):
+            for top in occupancies(sites):
                 want = plain_scan(spec, ["x1"] * sites, bottom, top).to_rf()
                 assert row_configuration_weight(spec, bottom, top, "x1") == want
 

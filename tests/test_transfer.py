@@ -63,13 +63,14 @@ class TestRowConfiguration:
     def test_empty_row_is_one(self):
         for model in (WeightModel.ROW_G, WeightModel.ROW_DUAL_G, WeightModel.COL_G,
                       WeightModel.COL_DUAL_G, WeightModel.J_ROW):
-            spec = TransferSpec(model, sites=3)
+            spec = TransferSpec(model)
             assert row_configuration_weight(spec, (), (), X1) == ONE
+            assert row_configuration_weight(spec, (0, 0, 0), (0, 0, 0), X1) == ONE
 
     def test_dual_g_single_step(self):
         # the closed skew formula gives x for (2)/(1): one box, one row, one
         # column, one component, so all deformation factors have exponent 0
-        spec = TransferSpec(WeightModel.ROW_DUAL_G, sites=2)
+        spec = TransferSpec(WeightModel.ROW_DUAL_G)
         w = row_configuration_weight(
             spec, row_multiplicities((1,), 2), row_multiplicities((2,), 2), X1
         )
@@ -104,11 +105,11 @@ class TestTransferElement:
     def test_site_count_independence(self):
         for model in (WeightModel.ROW_G, WeightModel.ROW_DUAL_G, WeightModel.COL_G,
                       WeightModel.COL_DUAL_G, WeightModel.J_ROW):
-            base = TransferSpec(model)
-            padded = TransferSpec(model, sites=base.min_sites((3, 2)) + 3)
+            spec = TransferSpec(model)
+            nsites = spec.min_sites((3, 2)) + 3
             for mu in subpartitions((3, 2)):
-                assert transfer_element(base, mu, (3, 2), X1) == transfer_element(
-                    padded, mu, (3, 2), X1
+                assert transfer_element(spec, mu, (3, 2), X1) == row_configuration_weight(
+                    spec, spec.encode(mu, nsites), spec.encode((3, 2), nsites), X1
                 )
 
     def test_support_conditions(self):
@@ -127,6 +128,20 @@ class TestTransferElement:
                     assert contains(lam, mu)
                 if not transfer_element(spec_j, mu, lam, X1).is_zero():
                     assert is_vertical_strip(lam, mu)
+
+    @pytest.mark.parametrize("model", list(WeightModel))
+    def test_steps_are_the_support(self, model):
+        # a chain steps from lam to exactly the mu whose factor is nonzero
+        spec = TransferSpec(model)
+        shapes = list(enumerate_partitions(4, 4, 4))
+        for lam in shapes:
+            support = set()
+            for mu in shapes:
+                # a dual tile set's factor is <lam|T*(x)|mu>
+                bra, ket = (lam, mu) if spec.dual else (mu, lam)
+                if not transfer_element(spec, bra, ket, X1).is_zero():
+                    support.add(mu)
+            assert support == set(spec.steps(lam)), (model, lam)
 
 
 class TestWorkedExamples:
