@@ -153,7 +153,7 @@ class Monomial:
     add and subtract keys.
     """
 
-    __slots__ = ("_k", "_exps", "_deg", "_key")
+    __slots__ = ("_k",)
 
     def __init__(self, exps=()):
         items = exps.items() if isinstance(exps, dict) else exps
@@ -166,28 +166,22 @@ class Monomial:
             if e:
                 k += e << _shift(v)
         self._k = _checked(k)
-        self._exps = self._deg = self._key = None
 
     @classmethod
     def _of(cls, k: int) -> "Monomial":
         """Monomial of a valid packed key."""
         m = object.__new__(cls)
         m._k = k
-        m._exps = m._deg = m._key = None
         return m
 
     @property
     def exps(self) -> tuple:
-        if self._exps is None:
-            e = _exponents(self._k)
-            slots = sorted(compress(count(), e), key=_RANKS.__getitem__)
-            self._exps = tuple((_NAMES[i], e[i]) for i in slots)
-        return self._exps
+        e = _exponents(self._k)
+        slots = sorted(compress(count(), e), key=_RANKS.__getitem__)
+        return tuple((_NAMES[i], e[i]) for i in slots)
 
     def degree(self) -> int:
-        if self._deg is None:
-            self._deg = sum(_exponents(self._k))
-        return self._deg
+        return sum(_exponents(self._k))
 
     def exponent(self, name: str) -> int:
         s = _SHIFTS.get(name)
@@ -195,11 +189,7 @@ class Monomial:
 
     def key(self):
         """Total-order key: bigger key means bigger in graded-lex order."""
-        if self._key is None:
-            keys = _VAR_KEYS
-            lex = tuple((-keys[v][0], -keys[v][1], e) for v, e in self.exps)
-            self._key = (self.degree(), lex)
-        return self._key
+        return self.degree(), tuple((-var_key(v)[0], -var_key(v)[1], e) for v, e in self.exps)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial._of(_checked(self._k + other._k))
@@ -372,21 +362,9 @@ class MultiPoly:
         out = {m ^ want: c for m, c in self.terms.items() if m & mask == want}
         return MultiPoly._of(out, self._frac and _has_fraction(out))
 
-    def leading_term(self):
-        """(monomial, coefficient) maximal in graded-lex order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        k = _leading_key(self.terms)
-        return Monomial._of(k), self.terms[k]
-
     def content(self) -> Fraction:
         """Positive rational c with self/c having coprime integer coefficients."""
         return Fraction(_content(self))
-
-    def sorted_terms(self):
-        """Terms in canonical (descending graded-lex) order."""
-        t = self.terms
-        return [(Monomial._of(k), t[k]) for _, _, k in sorted(_decorated(t)[0], reverse=True)]
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
@@ -567,11 +545,6 @@ def monomial_content(p: MultiPoly) -> Monomial:
     return Monomial._of(_content_key(p))
 
 
-def _quo_monomial(p: MultiPoly, mono: Monomial) -> MultiPoly:
-    """p divided by a monomial that divides every term of p."""
-    return p._shifted(-mono._k)
-
-
 def poly_divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     """Exact polynomial division; raises InexactDivision when d does not divide p.
 
@@ -748,10 +721,10 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
 def _unit_normal(num: MultiPoly, den: MultiPoly):
     """Scale num/den so den has coprime integer coefficients and a positive
-    leading coefficient (den nonzero)."""
+    leading coefficient, zero as 0/1 (den nonzero)."""
+    if num.is_zero():
+        return num, _POLY_ONE
     c = _unit(den)
-    if c == 1:
-        return num, den
     return num.quo(c), den.quo(c)
 
 
@@ -791,11 +764,7 @@ class RationalFunction:
         if den.is_zero():
             raise DivisionByZero("zero denominator")
         if _norm:
-            if num.is_zero():
-                den = _POLY_ONE
-            else:
-                num, den = _cancel(num, den)
-                num, den = _unit_normal(num, den)
+            num, den = _unit_normal(*_cancel(num, den))
         self.num = num
         self.den = den
 
@@ -804,10 +773,7 @@ class RationalFunction:
         """num/den for coprime num and nonzero den: only the unit
         normalization of den, no gcd."""
         out = cls.__new__(cls)
-        if num.is_zero():
-            out.num, out.den = num, _POLY_ONE
-        else:
-            out.num, out.den = _unit_normal(num, den)
+        out.num, out.den = _unit_normal(num, den)
         return out
 
     # -- constructors -------------------------------------------------------
@@ -830,9 +796,6 @@ class RationalFunction:
     # -- queries ------------------------------------------------------------
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.num == _POLY_ONE and self.den == _POLY_ONE
 
     def is_polynomial(self) -> bool:
         return self.den == _POLY_ONE
@@ -890,9 +853,8 @@ class RationalFunction:
         other = as_rf(other)
         if other.is_zero():
             raise DivisionByZero("division by the zero rational function")
-        n1, n2 = _cancel(self.num, other.num)
-        d2, d1 = _cancel(other.den, self.den)
-        return RationalFunction._coprime(n1 * d2, d1 * n2)
+        # other ** -1 without MultiPoly.__pow__'s product by one
+        return self * RationalFunction._coprime(other.den, other.num)
 
     def __rtruediv__(self, other):
         return as_rf(other) / self

@@ -24,7 +24,7 @@ from .algebra import (
     rf_to_str,
 )
 from .identities import SUITES, run_suite
-from .models import FERMIONIC_MODELS, LabelOutOfRange, WeightModel, vertex_weight
+from .models import FERMIONIC_MODELS, WeightModel, vertex_weight
 from .partitions import check_partition
 from .transfer import (
     TooFewInhomogeneities,
@@ -182,10 +182,7 @@ def _cmd_dump_weights(args, out) -> int:
                 d = a + b - c
                 if d < 0 or d > k:
                     continue
-                try:
-                    w = vertex_weight(model, a, b, c, d, x)
-                except LabelOutOfRange:
-                    continue
+                w = vertex_weight(model, a, b, c, d, x)
                 if w.is_zero():
                     continue
                 entries.append({"a": a, "b": b, "c": c, "d": d, "weight": rf_to_json(w)})

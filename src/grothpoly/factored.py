@@ -8,12 +8,14 @@ monomial content, numbered by first use.  An FFrac is a polynomial over a
 product of atom powers: products, quotients and powers are exponent
 arithmetic, and a sum lifts both numerators to the larger powers, no gcd.
 
-An atom of degree 1 in some variable whose coefficient and remainder are
-coprime (say, one is constant) is irreducible, so trial division by such
-atoms reduces completely.
-Other factors (only through the library API, say a non-linear
-inhomogeneity) are split by trial division over the known atoms and the
-rest is interned unproven; to_rf reduces a fraction over one by the gcd.
+An atom of degree 1 in some variable whose coefficient or remainder is a
+single term is irreducible (a common factor of the two would be a monomial,
+and an atom has no monomial content), so trial division by such atoms
+reduces completely, with no gcd.  Other factors (in the checker's
+branch_poly, each G skew weight over (1 - a*x)**e with e >= 2; library input
+such as a non-linear inhomogeneity) are split by trial division over the
+known atoms and the rest is interned, proven only if it passes the same
+test; to_rf reduces a fraction over an unproven atom by the gcd.
 Public API surfaces return RationalFunction / MultiPoly values.
 """
 
@@ -24,13 +26,10 @@ from .algebra import (
     MultiPoly,
     RationalFunction,
     _POLY_ONE,
-    _quo_monomial,
     _unit,
     as_rf,
     monomial_content,
-    poly_gcd,
     poly_try_div,
-    var_key,
 )
 
 # the atom table: id -> polynomial, and whether it is proven irreducible
@@ -42,15 +41,11 @@ _RENAMED: dict = {}  # (id, renaming) -> factor() of the renamed atom
 
 
 def _degree_one(q: MultiPoly) -> bool:
-    """q has degree 1 in some variable with a constant coefficient or
-    remainder or, failing that, with coprime ones; without monomial content
-    such a q is irreducible."""
-    parts = [
-        (q.coeff_in(v, 1), q.coeff_in(v, 0))
-        for v in sorted(q.variables(), key=var_key) if q.degree_in(v) == 1
-    ]
-    return any(c.is_constant() or r.is_constant() for c, r in parts) or any(
-        poly_gcd(c, r).is_constant() for c, r in parts
+    """q has degree 1 in some variable whose coefficient or remainder is a
+    single term; without monomial content such a q is irreducible."""
+    return any(
+        len(q.coeff_in(v, 1).terms) == 1 or len(q.coeff_in(v, 0).terms) == 1
+        for v in q.variables() if q.degree_in(v) == 1
     )
 
 
@@ -83,7 +78,7 @@ def factor(p: MultiPoly) -> tuple:
         raise DivisionByZero("division by zero")
     mono = monomial_content(p)
     powers = {_atom_id(MultiPoly.var(v), True): e for v, e in mono.exps}
-    q = _quo_monomial(p, mono)
+    q = p._shifted(-mono._k)
     const = _unit(q)
     q = q.quo(const)
     proven = True

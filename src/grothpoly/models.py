@@ -18,7 +18,6 @@ The public vertex_weight and rmatrix_entry return RationalFunction values.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
 from .algebra import RationalFunction
 from .factored import ONE, ZERO, FFrac, as_ffrac
@@ -181,8 +180,8 @@ def rmatrix_entry(
     """
     return factored_entry(
         family, a, b, c, d, as_ffrac(x), as_ffrac(y),
-        FORMAL_ALPHA if alpha is None else as_ffrac(Fraction(alpha)),
-        FORMAL_BETA if beta is None else as_ffrac(Fraction(beta)),
+        FORMAL_ALPHA if alpha is None else as_ffrac(alpha),
+        FORMAL_BETA if beta is None else as_ffrac(beta),
     ).to_rf()
 
 

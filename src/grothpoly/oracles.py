@@ -78,6 +78,8 @@ def branch_poly(kind: str, lam, n: int) -> RationalFunction:
     F_lam(x_1..x_n) = sum_mu F_mu(x_1..x_{n-1}) * skew(lam, mu)(x_n)."""
     if kind not in _STEPS:
         raise ValueError(f"unknown branching kind {kind!r}")
+    if n < 0:
+        raise ValueError(f"negative number of variables: {n}")
     lam = check_partition(lam)
     variables = [f"x{i}" for i in range(1, n + 1)]
     steps = _STEPS[kind]

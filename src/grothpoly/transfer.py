@@ -300,6 +300,8 @@ def _chain_sum(spec: TransferSpec, lam, variables, inner=()):
 
 
 def _default_vars(n: int, variables=None):
+    if n < 0:
+        raise ValueError(f"negative number of variables: {n}")
     if variables is not None:
         return list(variables)
     return [f"x{i}" for i in range(1, n + 1)]
@@ -310,6 +312,8 @@ def groth_poly(
 ) -> RationalFunction:
     """Canonical Grothendieck polynomial in n variables; alpha and beta stay
     formal unless given as exact values."""
+    if encoding not in ("row", "column"):
+        raise ValueError(f"unknown encoding {encoding!r}")
     model = WeightModel.ROW_G if encoding == "row" else WeightModel.COL_G
     spec = TransferSpec(model, alpha=alpha, beta=beta)
     return _chain_sum(spec, check_partition(lam), _default_vars(n, variables))
@@ -325,6 +329,8 @@ def dual_groth_poly(
     lam, n: int, encoding: str = "row", variables=None, *, alpha=None, beta=None
 ) -> MultiPoly:
     """Dual canonical Grothendieck polynomial; always a polynomial."""
+    if encoding not in ("row", "column"):
+        raise ValueError(f"unknown encoding {encoding!r}")
     model = WeightModel.ROW_DUAL_G if encoding == "row" else WeightModel.COL_DUAL_G
     spec = TransferSpec(model, alpha=alpha, beta=beta)
     return _chain_sum(spec, check_partition(lam), _default_vars(n, variables)).as_poly()

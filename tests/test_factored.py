@@ -19,11 +19,21 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grothpoly import factored
-from grothpoly.algebra import ALPHA, BETA, MultiPoly, RationalFunction, poly_from_json
+from grothpoly.algebra import (
+    ALPHA,
+    BETA,
+    Monomial,
+    MultiPoly,
+    RationalFunction,
+    monomial_content,
+    poly_from_json,
+    poly_gcd,
+    poly_to_json,
+)
 from grothpoly.factored import as_ffrac
 from grothpoly.models import (
     FERMIONIC_MODELS,
@@ -243,7 +253,7 @@ def test_atoms_after_a_small_suite_are_primitive_and_provably_irreducible():
         # primitive: coprime integer coefficients, positive leading one
         assert all(c.denominator == 1 for c in atom.terms.values()), atom
         assert reduce(gcd, (c.numerator for c in atom.terms.values())) in (1, -1), atom
-        assert atom.leading_term()[1] > 0, atom
+        assert Fraction(poly_to_json(atom)[0]["coeff"]) > 0, atom
         # no monomial content: a variable is an atom, and divides no other
         assert len(atom.terms) == 1 or not any(
             all(m.exponent(v) for m, _ in atom.items()) for v in atom.variables()
@@ -255,6 +265,41 @@ def test_atoms_after_a_small_suite_are_primitive_and_provably_irreducible():
                  or (atom.coeff_in(v, 0).is_constant() and not atom.coeff_in(v, 0).is_zero()))
             for v in atom.variables()
         ), atom
+
+
+def test_one_coefficient_proves_the_col_dual_r_atom_with_no_gcd(monkeypatch):
+    # x1*(1 + a^2 - a*b) + a*z1, met at the argument x/(z + (alpha - beta)*x):
+    # no variable has a constant coefficient or remainder, one has a single term
+    def no_gcd(*args):
+        raise AssertionError("poly_gcd called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "grothpoly" and getattr(module, "poly_gcd", None) is poly_gcd:
+            monkeypatch.setattr(module, "poly_gcd", no_gcd)
+    x1, z1, a, b = map(MultiPoly.var, ("x1", "z1", "a", "b"))
+    assert factored._degree_one(x1 * (1 + a * a - a * b) + a * z1)
+
+
+# polynomials in z1, a, b: a coefficient and a remainder in x1
+free_of_x1 = st.lists(
+    st.tuples(st.integers(-3, 3).filter(bool), st.tuples(*[st.integers(0, 2)] * 3)),
+    min_size=1, max_size=4,
+).map(lambda ts: MultiPoly({Monomial(dict(zip(("z1", "a", "b"), e))): c for c, e in ts}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(free_of_x1, free_of_x1)
+def test_one_coefficient_rule_implies_coprime_coefficient_and_remainder(c, r):
+    # the proof of _degree_one, against the gcd test it replaced: with no
+    # monomial content, a single-term coefficient or remainder in a variable
+    # of degree 1 is coprime to the other
+    q = c * MultiPoly.var("x1") + r
+    assume(q and not monomial_content(q).degree())
+    for v in q.variables():
+        cv, rv = q.coeff_in(v, 1), q.coeff_in(v, 0)
+        if q.degree_in(v) == 1 and 1 in (len(cv.terms), len(rv.terms)):
+            assert poly_gcd(cv, rv).is_constant(), (q, v)
+            assert factored._degree_one(q), q
 
 
 def test_non_linear_inhomogeneity_takes_the_gcd_fallback():

@@ -189,6 +189,11 @@ class TestRMatrixEntries:
             jj = rmatrix_entry(RMatrixFamily.J_R, *labels, X, Y)
             assert five == jj
 
+    @pytest.mark.parametrize("param", [{"alpha": 0.1}, {"beta": 0.1}])
+    def test_float_parameter_is_rejected(self, param):
+        with pytest.raises(TypeError):
+            rmatrix_entry(RMatrixFamily.COL_G_R, 1, 1, 1, 1, X, Y, **param)
+
     def test_beta_zero_guard(self):
         with pytest.raises(UndefinedAtBetaZero):
             rmatrix_entry(RMatrixFamily.ROW_DUAL_R, 1, 0, 1, 0, X, Y, beta=0)

@@ -111,6 +111,12 @@ class TestBranching:
         with pytest.raises(ValueError):
             branch_poly("Q", (1,), 1)
 
+    @pytest.mark.parametrize("kind", ["G", "g", "j"])
+    def test_negative_nvars(self, kind):
+        for lam in [(1,), ()]:
+            with pytest.raises(ValueError):
+                branch_poly(kind, lam, -1)
+
 
 class TestOracleLatticeEquivalence:
     def test_small_range(self):

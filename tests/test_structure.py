@@ -1,5 +1,5 @@
-"""Structural guards: the oracle's import boundary, and the names the
-benchmark's tracer wraps."""
+"""Structural guards: the oracle's import boundary, the one module that
+names poly_gcd, and the names the benchmark's tracer wraps."""
 
 import ast
 import os
@@ -12,12 +12,15 @@ PACKAGE = os.path.dirname(os.path.abspath(grothpoly.__file__))
 ROOT = os.path.dirname(os.path.dirname(PACKAGE))
 
 
+def parse(module: str) -> ast.Module:
+    with open(os.path.join(PACKAGE, module + ".py")) as f:
+        return ast.parse(f.read())
+
+
 def package_imports(module: str) -> set:
     """Modules of the package that module imports directly."""
-    with open(os.path.join(PACKAGE, module + ".py")) as f:
-        tree = ast.parse(f.read())
     out = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(parse(module)):
         if isinstance(node, ast.ImportFrom):
             if node.level == 1 and node.module:
                 out.add(node.module.split(".")[0])
@@ -42,6 +45,21 @@ def test_oracles_never_reach_the_lattice_code():
             todo.extend(package_imports(module))
     assert "factored" in seen  # the walk follows the oracle's own imports
     assert not seen & {"models", "transfer", "identities", "cli"}, sorted(seen)
+
+
+def test_only_algebra_names_poly_gcd():
+    # gcds are taken inside RationalFunction alone; __init__ re-exports it
+    modules = [f[:-3] for f in os.listdir(PACKAGE) if f.endswith(".py")]
+    for module in set(modules) - {"algebra", "__init__"}:
+        names = set()
+        for node in ast.walk(parse(module)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert "poly_gcd" not in names, module
 
 
 def test_benchmark_tracer_installs():

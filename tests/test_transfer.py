@@ -208,6 +208,20 @@ class TestRoutes:
         with pytest.raises(ValueError):
             j_poly((1,), 1, route="sideways")
 
+    @pytest.mark.parametrize("build", [groth_poly, dual_groth_poly])
+    def test_unknown_encoding(self, build):
+        with pytest.raises(ValueError):
+            build((2,), 2, encoding="Row")
+
+    @pytest.mark.parametrize("build", [
+        groth_poly, groth_poly_dual_route, dual_groth_poly, j_poly,
+        pytest.param(lambda lam, n: generalized_poly("G", lam, n), id="generalized_poly"),
+    ])
+    def test_negative_nvars(self, build):
+        for lam in [(1,), ()]:
+            with pytest.raises(ValueError):
+                build(lam, -1)
+
 
 class TestInvariants:
     RANGE = list(enumerate_partitions(5, 5, 5))
