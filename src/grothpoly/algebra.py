@@ -23,6 +23,7 @@ public value type built from and read back into that key.
 
 from __future__ import annotations
 
+import json
 import sys
 from fractions import Fraction
 from functools import reduce
@@ -433,14 +434,11 @@ class MultiPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial; use RationalFunction")
-        result = MultiPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if k <= 1:
+            return self if k else MultiPoly.const(1)
+        # square-and-multiply, with no product by one
+        half = (self * self) ** (k >> 1)
+        return half * self if k & 1 else half
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -1129,21 +1127,16 @@ def rf_to_latex(f: RationalFunction) -> str:
     return rf"\frac{{{poly_to_latex(f.num)}}}{{{poly_to_latex(f.den)}}}"
 
 
-def poly_to_json(p: MultiPoly) -> list:
-    t = p.terms
-    dec, names = _decorated(t)
-    dec = sorted(dec, reverse=True)
-    return [
-        {"coeff": str(t[k]), "exps": dict(zip(compress(names, e), filter(None, e)))}
-        for _, e, k in dec
-    ]
-
-
 def _poly_json_text(p: MultiPoly) -> str:
     # names in string order, as json.dumps(..., sort_keys=True) writes them
     coeffs, monos = _terms_text(p, '"{}": {}'.format, ", ", str)
     terms = [f'{{"coeff": "{c!s}", "exps": {{{m}}}}}' for c, m in zip(coeffs, monos)]
     return "[" + ", ".join(terms) + "]"
+
+
+def poly_to_json(p: MultiPoly) -> list:
+    # one writer: the canonical text, read back
+    return json.loads(_poly_json_text(p))
 
 
 def rf_to_json_text(f: RationalFunction) -> str:

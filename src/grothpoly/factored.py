@@ -11,11 +11,11 @@ arithmetic, and a sum lifts both numerators to the larger powers, no gcd.
 An atom of degree 1 in some variable whose coefficient or remainder is a
 single term is irreducible (a common factor of the two would be a monomial,
 and an atom has no monomial content), so trial division by such atoms
-reduces completely, with no gcd.  Other factors (in the checker's
-branch_poly, each G skew weight over (1 - a*x)**e with e >= 2; library input
-such as a non-linear inhomogeneity) are split by trial division over the
-known atoms and the rest is interned, proven only if it passes the same
-test; to_rf reduces a fraction over an unproven atom by the gcd.
+reduces completely, with no gcd.  Other factors come only from library
+input (a non-linear inhomogeneity, say; the oracle does not use this
+module): they are split by trial division over the known atoms and the
+rest is interned, proven only if it passes the same test; to_rf reduces a
+fraction over an unproven atom by the gcd.
 Public API surfaces return RationalFunction / MultiPoly values.
 """
 
@@ -240,7 +240,8 @@ def as_ffrac(v) -> FFrac:
 
 class FactorRegistry:
     """Seeded view of the atom table: interning the seed polynomials up
-    front lets from_rf split their powers by trial division."""
+    front lets from_rf split their powers by trial division.  No package
+    module calls it; the benchmark's tracer wraps it by name."""
 
     def __init__(self, seeds=()):
         for p in seeds:

@@ -1,15 +1,17 @@
 import pytest
 
+from grothpoly import factored
 from grothpoly.algebra import ALPHA, BETA, MultiPoly, RationalFunction, as_rf
-from grothpoly.oracles import branch_poly, skew_weight
+from grothpoly.oracles import _skew_parts, branch_poly, skew_weight
 from grothpoly.partitions import (
     enumerate_partitions,
+    horizontal_strip_subs,
     outer_row_stat,
     size,
     skew_stats,
     subpartitions,
 )
-from grothpoly.transfer import dual_groth_poly, groth_poly, j_poly
+from grothpoly.transfer import clear_chain_memo, dual_groth_poly, groth_poly, j_poly
 
 ONE = RationalFunction.one()
 X = RationalFunction.var("x1")
@@ -73,6 +75,13 @@ class TestSkewWeights:
                 )
                 assert skew_weight("g", lam, mu, X) == direct
 
+    def test_G_denominator_power_at_most_first_part(self):
+        # branch_poly sums every G step over (1 - a*x)**lam_1
+        x = MultiPoly.var("x1")
+        for lam in enumerate_partitions(8, 8, 8):
+            for mu in horizontal_strip_subs(lam):
+                assert _skew_parts("G", lam, mu, x)[1] <= (lam[0] if lam else 0), (lam, mu)
+
     def test_G_exponents_from_stats(self):
         lam, mu = (5, 3, 1), (4, 2)
         boxes = size(lam) - size(mu)
@@ -125,3 +134,28 @@ class TestOracleLatticeEquivalence:
                 assert branch_poly("G", lam, n) == groth_poly(lam, n), (lam, n)
                 assert branch_poly("g", lam, n) == as_rf(dual_groth_poly(lam, n)), (lam, n)
                 assert branch_poly("j", lam, n) == as_rf(j_poly(lam, n)), (lam, n)
+
+    def test_a_fault_in_the_factored_sum_shows(self, monkeypatch):
+        # the oracle shares no code with factored: a lift that drops one
+        # atom power must make some lattice value differ from the oracle's
+        lift = factored._lift
+
+        def drop_one(num, powers, target):
+            have = dict(powers)
+            for i in sorted(target):
+                if target[i] > have.get(i, 0):
+                    return lift(num, powers, {**target, i: target[i] - 1})
+            return lift(num, powers, target)
+
+        monkeypatch.setattr(factored, "_lift", drop_one)
+        clear_chain_memo()
+        try:
+            differ = [
+                (lam, n)
+                for lam in enumerate_partitions(4, 4, 4)
+                for n in (1, 2, 3)
+                if groth_poly(lam, n) != branch_poly("G", lam, n)
+            ]
+        finally:
+            clear_chain_memo()  # no value summed by the faulty lift outlives the test
+        assert differ
