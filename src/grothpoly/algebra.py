@@ -851,8 +851,7 @@ class RationalFunction:
         other = as_rf(other)
         if other.is_zero():
             raise DivisionByZero("division by the zero rational function")
-        # other ** -1 without MultiPoly.__pow__'s product by one
-        return self * RationalFunction._coprime(other.den, other.num)
+        return self * other ** -1
 
     def __rtruediv__(self, other):
         return as_rf(other) / self

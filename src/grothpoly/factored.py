@@ -17,9 +17,15 @@ module): they are split by trial division over the known atoms and the
 rest is interned, proven only if it passes the same test; to_rf reduces a
 fraction over an unproven atom by the gcd.
 Public API surfaces return RationalFunction / MultiPoly values.
+
+A product by a unit (numerator 1, no atoms) copies the other factor with no
+polynomial product; product_of multiplies a run of values, stopping at a zero.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import mul
 
 from .algebra import (
     DivisionByZero,
@@ -145,6 +151,10 @@ class FFrac:
     def __mul__(self, other: "FFrac") -> "FFrac":
         if not self.num.terms or not other.num.terms:
             return ZERO
+        if not self.powers and self.num == _POLY_ONE:
+            return FFrac(other.num, other.powers)
+        if not other.powers and other.num == _POLY_ONE:
+            return FFrac(self.num, self.powers)
         return _settle(self.num * other.num, _tally(dict(self.powers), other.powers))
 
     def __add__(self, other: "FFrac") -> "FFrac":
@@ -211,9 +221,7 @@ class FFrac:
         if self._rf is not None:
             return self._rf
         red = self.reduce()
-        den = _POLY_ONE
-        for i, k in red.powers:
-            den = atom_power(i, k) if den is _POLY_ONE else den * atom_power(i, k)
+        den = reduce(mul, [atom_power(i, k) for i, k in red.powers]) if red.powers else _POLY_ONE
         if all(_PROVEN[i] for i, _ in red.powers):
             # irreducible atoms, none dividing the numerator: the fraction is
             # reduced, and the atoms' product is primitive and unit-normal
@@ -225,6 +233,17 @@ class FFrac:
 
 ONE = FFrac(MultiPoly.const(1))
 ZERO = FFrac(MultiPoly())
+
+
+def product_of(values) -> FFrac:
+    """The product of values from the first, left to right; ZERO at a zero,
+    drawing no later value and taking no product; ONE for no values."""
+    got = []
+    for v in values:
+        if v.is_zero():
+            return ZERO
+        got.append(v)
+    return reduce(mul, got) if got else ONE
 
 
 def as_ffrac(v) -> FFrac:

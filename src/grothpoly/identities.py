@@ -29,7 +29,7 @@ from .algebra import (
     poly_to_str,
     series_from_rf,
 )
-from .factored import ONE as _ONE, ZERO as _ZERO, FFrac, as_ffrac
+from .factored import ONE as _ONE, ZERO as _ZERO, FFrac, as_ffrac, product_of
 from .models import (
     FERMIONIC_MODELS,
     FORMAL_ALPHA,
@@ -185,17 +185,6 @@ RLL_PAIRS = {
 }
 
 
-def _lazy_product(factors):
-    """The product of fn(*labels) over the (fn, labels) factors, left to right,
-    or None at the first zero factor, before building any later one."""
-    values = []
-    for fn, labels in factors:
-        values.append(fn(*labels))
-        if values[-1].is_zero():
-            return None
-    return functools.reduce(operator.mul, values)
-
-
 def check_rll(pair: str, aux_max: int = 3, phys_max: int = 4) -> CheckReport:
     """Replay the RLL relation R L(x) L(y) = L(y) L(x) R elementwise: for all
     admissible external labels, the internal sums on both sides agree as
@@ -231,8 +220,8 @@ def check_rll(pair: str, aux_max: int = 3, phys_max: int = 4) -> CheckReport:
                     gy, mid = lines - g, g + shift
                     if mid < 0 or (x_fermionic and g > 1) or (y_fermionic and gy > 1):
                         continue
-                    t = _lazy_product(factors(g, gy, mid))
-                    if t is None:
+                    t = product_of(fn(*labels) for fn, labels in factors(g, gy, mid))
+                    if t.is_zero():
                         continue
                     if pair == "col-G" and not lo <= g <= hi:
                         # terms outside the stated internal range for this

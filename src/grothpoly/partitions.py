@@ -9,6 +9,7 @@ nonnegative integers indexed by site 1..N (trailing zeros implied).
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 
 
@@ -25,7 +26,11 @@ Partition = tuple
 
 def check_partition(parts) -> Partition:
     """Validate and normalize to a tuple (drops trailing zeros)."""
-    given = tuple(int(v) for v in parts)
+    given = tuple(parts)
+    try:
+        given = tuple(operator.index(v) for v in given)
+    except TypeError:
+        raise ValueError(f"partition parts must be integers: {list(given)}") from None
     p = given
     while p and p[-1] == 0:
         p = p[:-1]

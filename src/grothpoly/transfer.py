@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
-from operator import mul
+from functools import cache, cached_property
 
 from .algebra import MultiPoly, RationalFunction, as_rf
-from .factored import ONE, ZERO, FFrac, as_ffrac
+from .factored import ONE, ZERO, FFrac, as_ffrac, product_of
 from .models import (
     COLUMN_ENCODED_MODELS,
     DUAL_BOUNDARY_MODELS,
@@ -125,10 +124,10 @@ def row_scanner(spec: TransferSpec, spectrals):
 
     The row is scanned right to left from the spec's boundary label; the
     weight is 0 when some label leaves the admissible range.  Every label is
-    derived before any weight is fetched, and the weights are multiplied
-    only when all of them are nonzero.  Each vertex weight is built once,
-    with alpha and beta entering as values, and keyed by site only when
-    the sites' spectral parameters over their inhomogeneities differ.
+    derived before any weight is fetched, and product_of multiplies the
+    weights only when all of them are nonzero.  Each vertex weight is built
+    once, with alpha and beta entering as values, and keyed by site only
+    when the sites' spectral parameters over their inhomogeneities differ.
     """
     xs = [as_ffrac(x) for x in spectrals]
     zs = spec.inhomogeneities
@@ -160,13 +159,7 @@ def row_scanner(spec: TransferSpec, spectrals):
                 return ZERO
             labels.append((i, a, b, c, d))
             c = a
-        ws = []
-        for label in labels:
-            w = vertex(*label)
-            if w.is_zero():
-                return ZERO
-            ws.append(w)
-        return reduce(mul, ws) if ws else ONE
+        return product_of(vertex(*label) for label in labels)
 
     return scan
 
@@ -302,9 +295,12 @@ def _chain_sum(spec: TransferSpec, lam, variables, inner=()):
 def _default_vars(n: int, variables=None):
     if n < 0:
         raise ValueError(f"negative number of variables: {n}")
-    if variables is not None:
-        return list(variables)
-    return [f"x{i}" for i in range(1, n + 1)]
+    if variables is None:
+        return [f"x{i}" for i in range(1, n + 1)]
+    variables = list(variables)
+    if len(variables) != n:
+        raise ValueError(f"{len(variables)} variables given for n = {n}")
+    return variables
 
 
 def groth_poly(

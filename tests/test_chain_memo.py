@@ -81,6 +81,21 @@ def test_memo_value_equals_cold_value(route, lam, n, alpha, beta, budget):
     assert compute(lam, n, alpha=alpha, beta=beta) == warm
 
 
+def test_no_value_is_stored_under_two_keys():
+    # a product by a unit is a copy of the other factor; were it the factor
+    # itself, a chain value times a unit element would be the very object
+    # stored for its predecessor, stored again under its own key and its
+    # terms charged twice
+    for route in ("G/row", "g/row", "j/direct"):
+        for lam in SHAPES:
+            for n in range(4):
+                clear_chain_memo()
+                ROUTES[route](lam, n)
+                ids = [id(v) for v, _ in transfer._MEMO.values() if not v.is_zero()]
+                assert len(ids) == len(set(ids)), (route, lam, n)
+    clear_chain_memo()
+
+
 MIX = [
     ["compute", "--kind", "G", "--lambda", "2,1", "--nvars", "3"],
     ["compute", "--kind", "G", "--lambda", "2", "--nvars", "2"],

@@ -1,6 +1,7 @@
 """The weight and R-matrix tables written over factored fractions, against
 the RationalFunction formulas they replaced (kept here as the reference),
-and the atom table they build.
+the atom table they build, and the product rules: a product by a unit and
+factored.product_of.
 
 The reference evaluates each formula with formal alpha and beta and then
 substitutes their values, the way the tables were specialized before;
@@ -17,6 +18,8 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import gcd
+from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -34,7 +37,7 @@ from grothpoly.algebra import (
     poly_gcd,
     poly_to_json,
 )
-from grothpoly.factored import as_ffrac
+from grothpoly.factored import FFrac, as_ffrac
 from grothpoly.models import (
     FERMIONIC_MODELS,
     RMatrixFamily,
@@ -309,3 +312,67 @@ def test_non_linear_inhomogeneity_takes_the_gcd_fallback():
     formal = generalized_poly("G", (2, 1), 2, alpha=Fraction(1, 2))
     assert got == formal.substitute({"z1": zs[0], "z2": zs[1]})
     assert any(atom == zs[0] for atom in factored._ATOMS)
+
+
+def _counted(cls, name):
+    """Patch cls.name to count its calls; returns the patcher and the list
+    that grows by one per call."""
+    calls, real = [], getattr(cls, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    return mock.patch.object(cls, name, counted), calls
+
+
+@pytest.mark.parametrize("unit", [factored.ONE, FFrac(MultiPoly.const(1))], ids=["shared", "fresh"])
+def test_product_by_a_unit_is_a_copy_with_no_polynomial_product(unit):
+    x, a, b = (MultiPoly.var(v) for v in "xab")
+    f = as_ffrac(x + b) / as_ffrac(MultiPoly.const(1) - a * x)
+    assert f.powers
+    patch, calls = _counted(MultiPoly, "__mul__")
+    with patch:
+        got = [unit * f, f * unit, unit * unit]
+    assert not calls
+    for g, want in zip(got, (f, f, unit)):
+        # a copy, never the operand: a chain value reached through a unit
+        # step must not be the very object stored for its predecessor
+        assert g is not want and g is not unit
+        assert (g.num, g.powers) == (want.num, want.powers)
+
+
+def _product_values():
+    x, a, b = (MultiPoly.var(v) for v in "xab")
+    one = MultiPoly.const(1)
+    return [
+        factored.ZERO, factored.ONE, FFrac(one), as_ffrac(2), as_ffrac(Fraction(-1, 3)),
+        as_ffrac("x"), as_ffrac(x + b), factored.ONE / as_ffrac(one - a * x),
+        as_ffrac(one + b * x) / as_ffrac(x),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 8), max_size=6))
+def test_product_of_is_the_left_to_right_product_and_stops_at_a_zero(picks):
+    pool = _product_values()
+    values = [pool[i] for i in picks]
+    drawn = []
+
+    def recording():
+        for v in values:
+            drawn.append(v)
+            yield v
+
+    patch, calls = _counted(FFrac, "__mul__")
+    with patch:
+        got = factored.product_of(recording())
+    zero = next((i for i, v in enumerate(values) if v.is_zero()), None)
+    if zero is None:
+        # started at the first value: one product fewer than values
+        assert len(drawn) == len(values) and len(calls) == max(len(values) - 1, 0)
+        want = reduce(mul, values) if values else factored.ONE
+        assert got.to_rf() == want.to_rf()
+    else:
+        assert drawn == values[: zero + 1] and not calls
+        assert got.is_zero()

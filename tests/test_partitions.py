@@ -180,6 +180,8 @@ def test_check_partition_rejects_bad_input():
         check_partition((1, 2))
     with pytest.raises(ValueError):
         check_partition((2, -1))
+    with pytest.raises(ValueError):
+        check_partition((2.7, 1.2))
     assert check_partition((3, 1, 0, 0)) == (3, 1)
 
 

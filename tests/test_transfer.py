@@ -213,14 +213,23 @@ class TestRoutes:
         with pytest.raises(ValueError):
             build((2,), 2, encoding="Row")
 
-    @pytest.mark.parametrize("build", [
+    BUILDERS = [
         groth_poly, groth_poly_dual_route, dual_groth_poly, j_poly,
-        pytest.param(lambda lam, n: generalized_poly("G", lam, n), id="generalized_poly"),
-    ])
+        pytest.param(lambda lam, n, **kw: generalized_poly("G", lam, n, **kw), id="generalized_poly"),
+    ]
+
+    @pytest.mark.parametrize("build", BUILDERS)
     def test_negative_nvars(self, build):
         for lam in [(1,), ()]:
             with pytest.raises(ValueError):
                 build(lam, -1)
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_variables_disagreeing_with_n(self, build):
+        for lam, n, variables in [((1,), 3, ["y1"]), ((1,), 1, ["y1", "y2", "y3"]), ((), 0, ["y1"])]:
+            with pytest.raises(ValueError):
+                build(lam, n, variables=variables)
+        assert build((2, 1), 2, variables=["x1", "x2"]) == build((2, 1), 2)
 
 
 class TestInvariants:
