@@ -150,8 +150,8 @@ class Monomial:
     """Sparse exponent vector, the public face of one packed key.
 
     ``exps`` lists (name, exponent) pairs in var_key order, zero exponents
-    never stored.  The public constructor validates; products and quotients
-    add and subtract keys.
+    never stored.  The public constructor validates; polynomial products and
+    quotients add and subtract the keys themselves.
     """
 
     __slots__ = ("_k",)
@@ -184,21 +184,9 @@ class Monomial:
     def degree(self) -> int:
         return sum(_exponents(self._k))
 
-    def exponent(self, name: str) -> int:
-        s = _SHIFTS.get(name)
-        return 0 if s is None else (self._k >> s) & MAX_EXPONENT
-
     def key(self):
         """Total-order key: bigger key means bigger in graded-lex order."""
         return self.degree(), tuple((-var_key(v)[0], -var_key(v)[1], e) for v, e in self.exps)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial._of(_checked(self._k + other._k))
-
-    def divide(self, other: "Monomial"):
-        """Quotient by ``other``, or None when not divisible."""
-        k = self._k - other._k
-        return None if k & _GUARD else Monomial._of(k)
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self._k == other._k
@@ -362,10 +350,6 @@ class MultiPoly:
         mask, want = MAX_EXPONENT << s, k << s
         out = {m ^ want: c for m, c in self.terms.items() if m & mask == want}
         return MultiPoly._of(out, self._frac and _has_fraction(out))
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c having coprime integer coefficients."""
-        return Fraction(_content(self))
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):

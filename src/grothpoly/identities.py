@@ -25,6 +25,7 @@ from .algebra import (
     MultiPoly,
     RationalFunction,
     TruncatedSeries,
+    as_rf,
     rf_to_str,
     poly_to_str,
     series_from_rf,
@@ -189,6 +190,8 @@ def check_rll(pair: str, aux_max: int = 3, phys_max: int = 4) -> CheckReport:
     """Replay the RLL relation R L(x) L(y) = L(y) L(x) R elementwise: for all
     admissible external labels, the internal sums on both sides agree as
     rational functions in x, y, alpha, beta."""
+    if pair not in RLL_PAIRS:
+        raise ValueError(f"unknown RLL pair {pair!r}")
     cfg = RLL_PAIRS[pair]
     wx = functools.cache(lambda a, b, c, d: factored_weight(cfg.wx, a, b, c, d, _X, *cfg.wx_ab))
     wy = functools.cache(lambda a, b, c, d: factored_weight(cfg.wy, a, b, c, d, _Y))
@@ -250,8 +253,6 @@ def check_eigenvector(family, max_label: int = 5) -> CheckReport:
     out_tops = (0, 1) if bot_f else tuple(range(max_label + 1))
     out_bots = (0, 1) if top_f else tuple(range(max_label + 1))
 
-    entry = functools.cache(lambda a, b, c, d: factored_entry(fam, a, b, c, d, _X, _Y))
-
     def comparisons():
         for ot, ob in product(out_tops, out_bots):
             total = _ZERO
@@ -259,7 +260,7 @@ def check_eigenvector(family, max_label: int = 5) -> CheckReport:
                 bb = ot + ob - a
                 if bb < 0 or (bot_f and bb > 1):
                     continue
-                total = total + entry(a, bb, ot, ob)
+                total = total + factored_entry(fam, a, bb, ot, ob, _X, _Y)
             yield {"labels": {"out_top": ot, "out_bottom": ob}}, total, _ONE
 
     return _run(f"eigenvector/{fam.value}", {"max_label": max_label}, comparisons())
@@ -271,14 +272,14 @@ def check_unitary(max_label: int = 4) -> CheckReport:
     fam = RMatrixFamily.COL_G_R
 
     # entries indexed by (top, bottom) label pairs in and out
-    f1 = functools.cache(lambda v, w: factored_entry(fam, *v, *w, _X, _Y))
     f2 = functools.cache(lambda w, u: factored_entry(fam, *w, *u, _Y, _X))
     rng = range(max_label + 1)
 
     def comparisons():
         for v in product(rng, rng):
             n = sum(v)
-            firsts = _row(f1, v, [(t, n - t) for t in range(n + 1)])
+            cands = [(t, n - t) for t in range(n + 1)]
+            firsts = _row(lambda v, w: factored_entry(fam, *v, *w, _X, _Y), v, cands)
             for u in product(rng, rng):
                 if sum(u) == n:
                     labels = {"in_top": v[0], "in_bottom": v[1], "out_top": u[0], "out_bottom": u[1]}
@@ -356,6 +357,8 @@ def check_commutation(kind: str, sites: int = 2, occ_max: int = 2, degree_bound:
     """
     if kind == "mixed":
         return _check_commutation_mixed(sites, occ_max, degree_bound)
+    if kind not in _COMM_MODELS:
+        raise ValueError(f"unknown commutation relation {kind!r}")
     spec = TransferSpec(_COMM_MODELS[kind])
     rowx = row_scanner(spec, [_X] * sites)
     rowy = row_scanner(spec, [_Y] * sites)
@@ -372,37 +375,21 @@ def check_commutation(kind: str, sites: int = 2, occ_max: int = 2, degree_bound:
     return _run(f"commutation/{kind}", params, _pairs(_occupancies(sites, occ_max), sides))
 
 
-def _dominates(w, v) -> bool:
-    """Right-to-left partial sums of w dominate those of v (v fits under w)."""
-    acc = 0
-    for i in range(max(len(w), len(v)) - 1, -1, -1):
-        acc += (w[i] if i < len(w) else 0) - (v[i] if i < len(v) else 0)
-        if acc < 0:
-            return False
-    return True
-
-
 def _near(u, nsites: int, budget: int) -> list:
     """Occupancies w of nsites sites, per site within 1 of u (padded), whose
     net box count over u is at most budget (terms beyond that bound start
     at x-degree above the truncation), in lexicographic order."""
-    out = []
-    stack = [((), 0)]
-    while stack:
-        prefix, diff = stack.pop()
-        i = len(prefix)
-        if i == nsites:
-            if diff <= budget:
-                out.append(prefix)
-            continue
+    level = [((), 0)]
+    for i in range(nsites):
         ui = u[i] if i < len(u) else 0
-        # pushed in reverse, so prefixes pop in increasing order; past the
-        # end of u the count only grows, so a prefix over budget is dropped
-        for wi in range(ui + 1, max(0, ui - 1) - 1, -1):
-            ndiff = diff + (i + 1) * (wi - ui)
-            if i < len(u) or ndiff <= budget:
-                stack.append((prefix + (wi,), ndiff))
-    return out
+        # past the end of u the count only grows: drop a prefix over budget
+        level = [
+            (prefix + (wi,), ndiff)
+            for prefix, diff in level
+            for wi in range(max(0, ui - 1), ui + 2)
+            if (ndiff := diff + (i + 1) * (wi - ui)) <= budget or i < len(u)
+        ]
+    return [w for w, diff in level if diff <= budget]
 
 
 def _check_commutation_mixed(sites: int, occ_max: int, degree_bound: int) -> CheckReport:
@@ -414,33 +401,30 @@ def _check_commutation_mixed(sites: int, occ_max: int, degree_bound: int) -> Che
     spec_T = TransferSpec(WeightModel.ROW_G_DUAL, alpha=-ALPHA, beta=-BETA)
     zero = TruncatedSeries(D)
 
-    def series_of(spec, x, admissible):
+    def series_of(spec, x):
         row = row_scanner(spec, [x] * nsites)
 
         def get(bottom, top):
-            if not admissible(bottom, top):
-                return zero
             w = row(bottom, top)
             return zero if w.is_zero() else series_from_rf(w.to_rf(), svars, D)
 
         return functools.cache(get)
 
-    # a bosonic row's top must dominate its bottom
-    t_series = series_of(spec_t, _Y, lambda bottom, top: _dominates(top, bottom))
-    T_series = series_of(spec_T, _X, lambda bottom, top: True)
+    # the t row is bosonic from boundary 0, so its scan alone is 0 where the
+    # top's suffix sums fall below the bottom's
+    t_series, T_series = series_of(spec_t, _Y), series_of(spec_T, _X)
 
     occs = _occupancies(sites, occ_max)
     near = {u: _near(u, nsites, D) for u in occs}
     # lhs: t(y) times the columns of T*(x), built once per top u; rhs:
-    # T*(x) into the w near v that fit under some top, the fullest one
+    # T*(x) into the w near v
     cols = {u: _row(lambda u, w: T_series(w, u), u, near[u]) for u in occs}
-    full = (occ_max,) * sites
     one_minus_xy = TruncatedSeries.from_poly(
         MultiPoly.const(1) - MultiPoly.var("x1") * MultiPoly.var("y1"), svars, D
     )
 
     def sides(v):
-        Ts = _row(T_series, v, [w for w in near[v] if _dominates(full, w)])
+        Ts = _row(T_series, v, near[v])
         return lambda u: (
             _compose(cols[u], lambda w, v: t_series(v, w), v, zero) * one_minus_xy,
             _compose(Ts, t_series, u, zero),
@@ -461,13 +445,12 @@ def _vars(prefix: str, n: int):
 
 def _geometric_kernel(xs, ys, sv, D) -> TruncatedSeries:
     """The product kernel, prod 1/(1 - x y) over x in xs and y in ys, as a
-    series in the variables sv truncated at degree D."""
-    out = TruncatedSeries.one(D)
-    for xv in xs:
-        for yv in ys:
-            den = MultiPoly.const(1) - MultiPoly.var(xv) * MultiPoly.var(yv)
-            out = out * series_from_rf(RationalFunction(MultiPoly.const(1), den), sv, D)
-    return out
+    series in the variables sv truncated at degree D: one expansion of
+    1 over the product of the denominators."""
+    den = functools.reduce(operator.mul, (
+        MultiPoly.const(1) - MultiPoly.var(xv) * MultiPoly.var(yv) for xv in xs for yv in ys
+    ))
+    return series_from_rf(RationalFunction(MultiPoly.const(1), den), sv, D)
 
 
 def _series_sum(terms, sv, D) -> TruncatedSeries:
@@ -531,8 +514,8 @@ def check_cauchy_2(m: int, n: int, degree_bound: int | None = None) -> CheckRepo
         for lam in exact_lams:
             Gc = groth_poly(conjugate(lam), m, variables=xs, alpha=0, beta=-ALPHA)
             gl = dual_groth_poly(lam, n, variables=ys, beta=0)
-            lhs0 = lhs0 + Gc * RationalFunction(gl, _norm=False)
-        yield {"part": "exact-beta-zero"}, lhs0, RationalFunction(binom, _norm=False)
+            lhs0 = lhs0 + Gc * gl
+        yield {"part": "exact-beta-zero"}, lhs0, as_rf(binom)
         # truncated series at formal alpha, beta
         lhs = _series_sum(
             (

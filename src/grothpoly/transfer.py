@@ -17,7 +17,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .algebra import MultiPoly, RationalFunction, as_rf
+from .algebra import ALPHA, BETA, MultiPoly, RationalFunction, as_rf
 from .factored import ONE, ZERO, FFrac, as_ffrac, product_of
 from .models import (
     COLUMN_ENCODED_MODELS,
@@ -72,10 +72,14 @@ class TransferSpec:
     beta: RationalFunction | None = None
 
     def __post_init__(self):
-        # one spelling per value, so equal specs share chain-memo entries
-        for name in ("alpha", "beta"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, as_rf(getattr(self, name)))
+        # one spelling per value, so equal specs share chain-memo entries:
+        # a rational function, and None for the formal symbol itself
+        for name, formal in (("alpha", ALPHA), ("beta", BETA)):
+            if (value := getattr(self, name)) is not None:
+                value = as_rf(value)
+                object.__setattr__(self, name, None if value == formal else value)
+        if self.inhomogeneities is not None:
+            object.__setattr__(self, "inhomogeneities", tuple(map(as_rf, self.inhomogeneities)))
 
     def __hash__(self):
         return self._hash
@@ -375,7 +379,7 @@ def generalized_poly(kind: str, lam, n: int, z=None, alpha=1, variables=None) ->
     if z is None:
         zs = tuple(RationalFunction.var(f"z{j}") for j in range(1, nsites + 1))
     else:
-        zs = tuple(as_rf(v) for v in z)
+        zs = tuple(z)
         if len(zs) < nsites:
             raise TooFewInhomogeneities(f"need at least {nsites} inhomogeneities for {lam}")
     spec = TransferSpec(model, inhomogeneities=zs[:nsites], alpha=ka * al, beta=kb * al)

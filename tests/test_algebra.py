@@ -113,7 +113,7 @@ def _longdiv_coeffs(num, den, order):
 
 def _truncate(p, sv, D):
     """The terms of p of degree at most D in the variables sv."""
-    return MultiPoly([(m, c) for m, c in p.items() if sum(m.exponent(v) for v in sv) <= D])
+    return MultiPoly([(m, c) for m, c in p.items() if sum(dict(m.exps).get(v, 0) for v in sv) <= D])
 
 
 def _constant_in(p, sv):

@@ -280,8 +280,11 @@ def test_run_counts_comparisons_up_to_the_first_mismatch(failing):
 def test_run_suite_names():
     reports = run_suite("unitarity", max_label=2)
     assert [r.name for r in reports] == ["unitary/col-G-R"]
-    with pytest.raises(ValueError):
-        run_suite("nonsense")
+    for unknown in (
+        lambda: run_suite("nonsense"), lambda: check_rll("nope"), lambda: check_commutation("nope")
+    ):
+        with pytest.raises(ValueError):
+            unknown()
 
 
 @pytest.mark.parametrize("sites,occ_max,budget", [(1, 2, 0), (2, 2, 4), (2, 1, 6), (3, 2, 3), (0, 0, 5)])

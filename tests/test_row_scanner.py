@@ -134,3 +134,20 @@ def test_each_vertex_weight_is_built_once(monkeypatch, spectrals):
         for top in occupancies(3):
             scan(bottom, top)
     assert built and len(built) == len(set(built))
+
+
+def occupancy_pairs(sites):
+    occs = st.tuples(*[st.integers(0, 3)] * sites)
+    return st.tuples(occs, occs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(occupancy_pairs))
+def test_the_dual_g_row_is_zero_exactly_where_the_top_fails_to_dominate(pair):
+    # a bosonic row from right boundary 0 carries the suffix sum of top
+    # minus bottom leftward, so no admissibility test is needed before a
+    # scan of it (the mixed commutation check relies on this)
+    bottom, top = pair
+    scan = row_scanner(TransferSpec(WeightModel.ROW_DUAL_G), ["x1"] * len(bottom))
+    below = any(sum(top[i:]) < sum(bottom[i:]) for i in range(len(bottom)))
+    assert scan(bottom, top).is_zero() is below

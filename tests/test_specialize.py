@@ -1,8 +1,8 @@
 """Specialization inside the chain sum (alpha, beta substituted once per
 vertex weight) against the reference route: the formal polynomial with
 alpha, beta substituted into the finished result.  Also: every spelling
-of one alpha, beta value gives one TransferSpec and one set of chain-memo
-entries."""
+of one alpha, beta or inhomogeneity value gives one TransferSpec and one
+set of chain-memo entries."""
 
 from fractions import Fraction
 
@@ -139,13 +139,32 @@ def test_spellings_of_one_value_give_one_spec():
             for v in (1, Fraction(1), RationalFunction.const(1))
             for w in (0, Fraction(0), RationalFunction.zero())
         ]
-        assert all(spec == specs[0] for spec in specs)
-        assert len({hash(spec) for spec in specs}) == 1
+        # the formal symbol given as a value is the formal spec itself, and
+        # inhomogeneities given as any sequence are one tuple of values
+        specs_formal = [TransferSpec(model), TransferSpec(model, alpha=ALPHA, beta=BETA)]
+        specs_z = [
+            TransferSpec(model, inhomogeneities=zs)
+            for zs in ([1, Fraction(2)], (1, 2), (as_rf(1), as_rf(2)))
+        ]
+        for group in (specs, specs_formal, specs_z):
+            assert all(spec == group[0] for spec in group)
+            assert len({hash(spec) for spec in group}) == 1
     assert TransferSpec(WeightModel.ROW_G, alpha=-ALPHA) == TransferSpec(
         WeightModel.ROW_G, alpha=as_rf(-1) * ALPHA
     )
     assert TransferSpec(WeightModel.ROW_G, alpha=1) != TransferSpec(WeightModel.ROW_G, beta=1)
     assert TransferSpec(WeightModel.ROW_G, alpha=0) != TransferSpec(WeightModel.ROW_G)
+    assert TransferSpec(WeightModel.ROW_G, alpha=BETA) != TransferSpec(WeightModel.ROW_G)
+
+
+def test_the_formal_symbol_shares_the_formal_memo_entries():
+    clear_chain_memo()
+    groth_poly((2, 1), 3)
+    first = chain_memo_stats()
+    groth_poly((2, 1), 3, alpha=ALPHA, beta=BETA)
+    second = chain_memo_stats()
+    clear_chain_memo()
+    assert (second["hits"] - first["hits"], second["misses"] - first["misses"]) == (1, 0)
 
 
 def test_spellings_of_one_value_share_memo_entries():
