@@ -1,5 +1,6 @@
 """Property tests for the algebra kernels under every chain sum: monomial
-order, polynomial arithmetic and maps, and exact polynomial division.
+order, products and quotients, polynomial arithmetic and maps, and exact
+polynomial division.
 
 Each is compared with a plain reference kept here: monomials as exponent
 dicts ordered by a dense exponent vector, polynomials as dicts from frozen
@@ -205,6 +206,35 @@ divisors = st.one_of(
 
 
 # -- monomials --------------------------------------------------------------------
+
+
+def _term(m: dict) -> MultiPoly:
+    return MultiPoly([(Monomial(m), 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_dicts, exponent_dicts)
+def test_monomial_product_matches_dict_reference(a, b):
+    # monomials multiply only inside polynomials, by adding packed keys
+    expected = Monomial(ref_mul(a, b))
+    for got in (_term(a).mul_monomial(Monomial(b)), _term(a) * _term(b)):
+        assert dict(got.items()) == {expected: 1}
+        (m, _), = got.items()
+        assert m.exps == expected.exps and hash(m) == hash(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_dicts, exponent_dicts)
+def test_monomial_divide_matches_dict_reference(a, b):
+    # a monomial quotient is exact division of one-term polynomials
+    expected = ref_divide(a, b)
+    got = poly_try_div(_term(a), _term(b))
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None and dict(got.items()) == {Monomial(expected): 1}
+    # a product always divides back
+    assert poly_divexact(_term(a).mul_monomial(Monomial(b)), _term(b)) == _term(a)
 
 
 @settings(max_examples=200, deadline=None)
