@@ -200,9 +200,6 @@ class Monomial:
         return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self.exps)
 
 
-_ONE_MONO = Monomial()
-
-
 def _coeff(c):
     """Canonical coefficient: an int when c is integral, else a Fraction."""
     if type(c) is int:
@@ -272,10 +269,11 @@ class MultiPoly:
     ``(Monomial, coefficient)`` pairs.  Since ``3 == Fraction(3)`` and the
     two hash alike, equality and hashing do not depend on the form.
     ``_frac`` records whether some coefficient is a Fraction, so arithmetic
-    on all-int operands checks no term.  A polynomial is immutable.
+    on all-int operands checks no term.  A polynomial is immutable, so
+    ``_json``, its canonical JSON text, is set on first render and kept.
     """
 
-    __slots__ = ("terms", "_frac")
+    __slots__ = ("terms", "_frac", "_json")
 
     def __init__(self, terms=None):
         t = {}
@@ -957,10 +955,6 @@ class TruncatedSeries:
         t = {k: c for part in _graded(p.terms, mask, degree_bound) for k, c in part.items()}
         return cls(degree_bound, _mask_poly=(mask, MultiPoly._of(t, p._frac and _has_fraction(t))))
 
-    @classmethod
-    def one(cls, degree_bound: int):
-        return cls(degree_bound, {_ONE_MONO: MultiPoly.const(1)})
-
     def coefficient(self, m: Monomial) -> MultiPoly:
         """Coefficient of the series monomial m, in the other variables."""
         mask, s = self.mask, m._k
@@ -1111,10 +1105,15 @@ def rf_to_latex(f: RationalFunction) -> str:
 
 
 def _poly_json_text(p: MultiPoly) -> str:
-    # names in string order, as json.dumps(..., sort_keys=True) writes them
-    coeffs, monos = _terms_text(p, '"{}": {}'.format, ", ", str)
-    terms = [f'{{"coeff": "{c!s}", "exps": {{{m}}}}}' for c, m in zip(coeffs, monos)]
-    return "[" + ", ".join(terms) + "]"
+    # rendered once per polynomial: the slot is left unset until then, so
+    # building a polynomial stores nothing extra
+    text = getattr(p, "_json", None)
+    if text is None:
+        # names in string order, as json.dumps(..., sort_keys=True) writes them
+        coeffs, monos = _terms_text(p, '"{}": {}'.format, ", ", str)
+        terms = [f'{{"coeff": "{c!s}", "exps": {{{m}}}}}' for c, m in zip(coeffs, monos)]
+        text = p._json = "[" + ", ".join(terms) + "]"
+    return text
 
 
 def poly_to_json(p: MultiPoly) -> list:

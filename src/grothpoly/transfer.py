@@ -17,7 +17,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .algebra import ALPHA, BETA, MultiPoly, RationalFunction, as_rf
+from .algebra import ALPHA, BETA, DivisionByZero, MultiPoly, RationalFunction, as_rf
 from .factored import ONE, ZERO, FFrac, as_ffrac, product_of
 from .models import (
     COLUMN_ENCODED_MODELS,
@@ -79,7 +79,11 @@ class TransferSpec:
                 value = as_rf(value)
                 object.__setattr__(self, name, None if value == formal else value)
         if self.inhomogeneities is not None:
-            object.__setattr__(self, "inhomogeneities", tuple(map(as_rf, self.inhomogeneities)))
+            zs = tuple(map(as_rf, self.inhomogeneities))
+            # a weight reads x/z_j: reject z_j = 0 whether or not one is built
+            if not all(zs):
+                raise DivisionByZero("division by zero")
+            object.__setattr__(self, "inhomogeneities", zs)
 
     def __hash__(self):
         return self._hash

@@ -185,8 +185,9 @@ class TestSeries:
         assert s1 * s2 == TruncatedSeries.from_poly(one - px1**2, {"x1"}, 2)
 
     def test_bound_mismatch(self):
+        one = MultiPoly.const(1)
         with pytest.raises(BoundMismatch):
-            TruncatedSeries.one(2) + TruncatedSeries.one(3)
+            TruncatedSeries(2, {Monomial(): one}) + TruncatedSeries(3, {Monomial(): one})
 
     def test_not_expandable(self):
         with pytest.raises(NotExpandable):
@@ -201,7 +202,7 @@ class TestSeries:
         big = MultiPoly({Monomial({"x1": MAX_EXPONENT, "x2": MAX_EXPONENT, "y1": 1}): 1})
         sv = {"x1", "x2", "y1"}
         one = MultiPoly.const(1)
-        assert TruncatedSeries.from_poly(one + big, sv, 3) == TruncatedSeries.one(3)
+        assert TruncatedSeries.from_poly(one + big, sv, 3) == TruncatedSeries(3, {Monomial(): one})
         f = RationalFunction(one + big, one - px1, _norm=False)
         assert series_from_rf(f, sv, 3) == series_from_rf(ONE / (ONE - X1), sv, 3)
 

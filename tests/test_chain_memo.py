@@ -1,8 +1,9 @@
 """The process-wide chain memo of transfer._chain_sum: a value served from
 the memo equals the value computed without it, the term budget holds after
 every insertion with least-recently-used eviction, a repeated request does
-no chain arithmetic, and a chain sum leaves no reference cycles behind, nor
-do the oracle and the verification checks."""
+no chain arithmetic and prints the bytes its first answer printed, and a
+chain sum leaves no reference cycles behind, nor do the oracle and the
+verification checks."""
 
 import contextlib
 import gc
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grothpoly import factored, identities, oracles, transfer
-from grothpoly.algebra import MultiPoly, as_rf
-from grothpoly.cli import main
+from grothpoly.algebra import MultiPoly, as_rf, rf_to_json_text
+from grothpoly.cli import _HOMOGENEOUS, main
 from grothpoly.factored import FFrac
 from grothpoly.models import RMatrixFamily
 from grothpoly.partitions import enumerate_partitions
@@ -229,6 +230,37 @@ def test_smaller_request_reuses_a_larger_one():
     groth_poly((2, 1), 2)
     after = chain_memo_stats()
     assert (after["hits"], after["misses"]) == (before["hits"] + 1, before["misses"])
+
+
+# every (kind, route) served without --z, and one request with --z
+SERVED = [
+    ["compute", "--kind", kind, "--lambda", "2,1", "--nvars", "3"]
+    + (["--route", route] if route != "direct" else [])
+    for kind, route in _HOMOGENEOUS
+] + [["compute", "--kind", "G", "--lambda", "2,1", "--nvars", "2", "--z", "1/2,-1"]]
+
+
+@pytest.mark.parametrize("argv", SERVED, ids=" ".join)
+def test_repeated_request_prints_the_same_bytes(argv):
+    # the first answer is rendered afresh; the repeat, a top-level hit,
+    # prints the text its polynomials kept
+    clear_chain_memo()
+    first = _stdout(argv)
+    hits = chain_memo_stats()["hits"]
+    assert _stdout(argv) == first
+    assert chain_memo_stats()["hits"] == hits + 1
+
+
+def test_rendering_leaves_the_memo_stats_unchanged():
+    def serve(render: bool) -> dict:
+        clear_chain_memo()
+        for compute in [*ROUTES.values()] * 2:
+            value = compute((2, 1), 3)
+            if render:
+                rf_to_json_text(value)
+        return chain_memo_stats()
+
+    assert serve(render=True) == serve(render=False)
 
 
 CONSTRUCTORS = [

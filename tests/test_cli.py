@@ -115,6 +115,15 @@ class TestComputeContract:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("lam", ["2", "1"])
+    def test_zero_inhomogeneity_is_usage_error(self, capsys, lam):
+        # J of (2) at one variable builds no weight, yet z_1 = 0 is refused all the same
+        code = main(["compute", "--kind", "J", "--lambda", lam, "--nvars", "1", "--z", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: cannot compute at the given values: division by zero\n"
+
     def test_too_few_inhomogeneities_is_usage_error(self, capsys):
         code = main(["compute", "--kind", "G", "--lambda", "2,1", "--nvars", "2", "--z", "1"])
         assert code == 2

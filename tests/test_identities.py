@@ -289,7 +289,7 @@ def test_run_suite_names():
 
 @pytest.mark.parametrize("sites,occ_max,budget", [(1, 2, 0), (2, 2, 4), (2, 1, 6), (3, 2, 3), (0, 0, 5)])
 def test_near_equals_the_filtered_product(sites, occ_max, budget):
-    # the explicit-stack enumeration prunes; the plain product does not
+    # the level-by-level enumeration prunes; the plain product does not
     nsites = sites + budget
     for u in product(range(occ_max + 1), repeat=sites):
         upad = u + (0,) * budget

@@ -4,8 +4,10 @@ polynomials and rational functions must equal what the reference writes.
 The reference is the per-term output path kept here: terms sorted by an
 explicit graded-lex key over exponent dicts, each monomial's factors sorted
 for display, the JSON built as dicts and written by ``json.dumps`` with
-``sort_keys``.  A last test checks that output does not depend on how many
-variables the process has named before.
+``sort_keys``.  A polynomial keeps its JSON text once rendered: the kept
+text must be what a fresh render of an equal polynomial writes.  A last
+test checks that output does not depend on how many variables the process
+has named before.
 """
 
 import json
@@ -13,14 +15,17 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grothpoly import algebra
 from grothpoly.algebra import (
     Monomial,
     MultiPoly,
     RationalFunction,
+    poly_from_json,
     poly_to_latex,
     poly_to_str,
     rf_to_json,
@@ -177,6 +182,30 @@ def test_dict_output_and_term_order_equal_the_reference(p):
     assert rf_to_json(f) == ref_rf_to_json(f)
     assert poly_to_str(p) == ref_poly_to_str(p)
     assert poly_to_latex(p) == ref_poly_to_latex(p)
+
+
+# -- the kept JSON text --------------------------------------------------------------
+
+
+def test_a_polynomial_is_rendered_once():
+    f = rational(MultiPoly.var("x10") * 3 - MultiPoly.var("a") ** 2, MultiPoly.var("x2") + Fraction(1, 2))
+    with mock.patch.object(algebra, "_terms_text", wraps=algebra._terms_text) as spy:
+        first = rf_to_json_text(f)
+        assert rf_to_json_text(f) == first
+        assert rf_to_json(f) == json.loads(first)
+    # the numerator once and the denominator once
+    assert spy.call_count == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_polys)
+def test_kept_text_is_a_fresh_render_and_reads_back(p):
+    kept = algebra._poly_json_text(p)
+    assert algebra._poly_json_text(p) is kept
+    copy = MultiPoly(dict(p.items()))
+    assert getattr(copy, "_json", None) is None
+    assert algebra._poly_json_text(copy) == kept
+    assert poly_from_json(json.loads(kept)) == p
 
 
 RENDER_SCRIPT = """
