@@ -691,12 +691,10 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
             hh = gg
         elif delta > 1:
             hh = poly_divexact(gg**delta, hh ** (delta - 1))
+    # the first B has degree >= 1 in the shared v and a remainder of degree 0
+    # returns inside the loop, so A ends with degree >= 1: g is never constant
     g = _primitive_part_in(A, v)
-    if g.is_constant():
-        out = base * g_cont if not g_cont.is_constant() else base
-    else:
-        out = base * g_cont * g if not g_cont.is_constant() else base * g
-    return _make_primitive(out)
+    return _make_primitive(base * g_cont * g if not g_cont.is_constant() else base * g)
 
 
 def _unit_normal(num: MultiPoly, den: MultiPoly):

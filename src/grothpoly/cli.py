@@ -35,8 +35,6 @@ from .transfer import (
     j_poly,
 )
 
-_KINDS = ("G", "g", "j", "J", "s_r", "s_c")
-
 
 def _parse_partition(text: str):
     text = text.strip()
@@ -207,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", help="compute one polynomial")
-    pc.add_argument("--kind", required=True, choices=_KINDS)
+    pc.add_argument("--kind", required=True, choices=tuple(_READS_WITH_Z))
     pc.add_argument("--lambda", dest="lam", default="", help="comma-separated parts; empty = empty partition")
     pc.add_argument("--nvars", type=int, required=True)
     pc.add_argument("--encoding", choices=("row", "column"), default=None, help="G, g: row (default) or column model")
@@ -274,7 +272,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

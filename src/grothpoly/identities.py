@@ -5,10 +5,10 @@ relations, and the Cauchy identities.
 
 Every check compares canonical rational functions or exact truncated series;
 no floating point and no load-bearing random evaluation anywhere.  Every
-check but cauchy/G-at-z yields its comparisons to _run, which counts them,
-compares each through _mismatch and reports the first mismatch in one
-counterexample format (the offending labels and both sides); matrix
-products go through _compose, and the Cauchy sums through _series_sum.
+check yields its comparisons to _run, which counts them, compares each
+through _mismatch and reports the first mismatch in one counterexample
+format (the offending labels and both sides); matrix products go through
+_compose, and the Cauchy sums through _series_sum.
 """
 
 from __future__ import annotations
@@ -605,11 +605,9 @@ def check_G_at_z(lam, m: int) -> CheckReport:
     inv_w = [ONE / RationalFunction.var(f"w{j}") for j in range(1, m + 1)]
     zs = _vars("z", m)
     val = generalized_poly("G", lam, m, z=inv_w, variables=zs)
-    params = {"lam": list(lam), "m": m, "cases": 1}
     # equal to 1 modulo z_j * w_j = 1; a counterexample shows val unreduced
-    if val.is_polynomial() and laurent_reduce(val.num) == MultiPoly.const(1):
-        return CheckReport("cauchy/G-at-z", params)
-    return CheckReport("cauchy/G-at-z", params, False, _mismatch(val, ONE))
+    ok = val.is_polynomial() and laurent_reduce(val.num) == MultiPoly.const(1)
+    return _run("cauchy/G-at-z", {"lam": list(lam), "m": m}, [({}, ONE if ok else val, ONE)])
 
 
 def check_dual_sum_rule(m: int, n: int, degree_bound: int = 3) -> CheckReport:

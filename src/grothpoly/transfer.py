@@ -84,6 +84,10 @@ class TransferSpec:
             if not all(zs):
                 raise DivisionByZero("division by zero")
             object.__setattr__(self, "inhomogeneities", zs)
+        # _chain_sum renames x0, its spectral placeholder, in every element
+        for value in (self.alpha, self.beta, *(self.inhomogeneities or ())):
+            if value is not None and "x0" in value.num.variables() | value.den.variables():
+                raise ValueError("alpha, beta and inhomogeneities may not use x0, a reserved variable")
 
     def __hash__(self):
         return self._hash
@@ -296,6 +300,7 @@ def _chain_sum(spec: TransferSpec, lam, variables, inner=()):
         del value  # value refers to itself: break the cycle now, not at a GC pass
     rf = top.to_rf()
     if n:
+        # a hit too: this charges the cached to_rf and applies the current budget
         _memo_put((base, lam, prefixes[n]), top)
     return rf
 

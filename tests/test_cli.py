@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -320,3 +321,16 @@ class TestModuleEntryPoint:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+
+def test_readme_examples(run):
+    """Every README command followed by a '#   output' line prints that output."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    pairs = [
+        (command, output[4:])
+        for command, output in zip(lines, lines[1:])
+        if command.startswith("grothpoly ") and output.startswith("#   ")
+    ]
+    assert len(pairs) >= 3
+    for command, expected in pairs:
+        assert run(shlex.split(command)[1:]) == (0, expected + "\n"), command

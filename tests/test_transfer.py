@@ -340,3 +340,22 @@ class TestSkewChains:
         lam = (2, 1)
         val = skew_groth_poly(lam, lam, ["x1"])
         assert val == Bf(1) ** 2  # two distinct part sizes
+
+
+class TestReservedPlaceholder:
+    """The chain sum builds each element at the placeholder x0 and renames
+    it to the step's variable, so a value naming x0 would be renamed too."""
+
+    def test_alpha_naming_x0_is_rejected(self):
+        with pytest.raises(ValueError, match="x0"):
+            groth_poly((1,), 1, alpha=V("x0"))
+
+    def test_inhomogeneity_naming_x0_is_rejected(self):
+        with pytest.raises(ValueError, match="x0"):
+            generalized_poly("G", (1,), 1, z=["x0"])
+
+    def test_x0_as_a_variable_is_renamed_correctly(self):
+        mapping = {"x1": "x0", "x2": "x1"}
+        for lam in ((1,), (2, 1)):
+            expected = groth_poly(lam, 2).rename_vars(mapping)
+            assert groth_poly(lam, 2, variables=["x0", "x1"]) == expected
