@@ -135,9 +135,8 @@ def _cmd_verify(args, out) -> int:
             raise UsageError(f"--{name.replace('_', '-')} must be nonnegative")
     if args.sites < 1:
         raise UsageError("--sites must be at least 1")
-    suites = args.suite.split(",") if args.suite else ["all"]
     reports = []
-    for suite in suites:
+    for suite in args.suite.split(","):
         if suite not in SUITES:
             raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
         reports.extend(

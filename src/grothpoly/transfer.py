@@ -238,70 +238,67 @@ def _chain_sum(spec: TransferSpec, lam, variables, inner=()):
     single-row elements, the k-th step at spectral parameter variables[k-1]
     and each step one of spec.steps.
 
-    value(mu, k), the sum over the chains that reach mu in k steps, is a
-    whole answer to a smaller request: it depends only on the spec, inner,
-    the site count, mu and variables[:k].  A value is looked up in the
-    call's own dict, then in the process-wide chain memo under that key,
-    and computed only when both miss; a repeated request is a hit at the
-    top and does no chain arithmetic.
+    The value of mu at level k, the sum over the chains that reach mu in k
+    steps, is a whole answer to a smaller request: it depends only on the
+    spec, inner, the site count, mu and variables[:k], the key it has in
+    the process-wide chain memo.  Going down from (lam, n), each shape a
+    level needs is looked up once: a hit is its value, a miss needs its
+    steps one level down.  Going back up, each miss sums below * element
+    over its steps.  A repeated request is a hit at the top and does no
+    chain arithmetic.
 
-    A computed value sums below * element over the steps into mu.  Every
-    element is built once per call, by one row scanner at a shared spectral
-    parameter x0 (made at the first value that misses both memos), held in
-    that scanner's cache and renamed to each step's variable; alpha and
-    beta enter the weight tables as values, never substituted.  Weights,
+    Every element is built once per call, by one row scanner at a shared
+    spectral parameter x0 (made only when the top misses), held in that
+    scanner's cache and renamed to each step's variable; alpha and beta
+    enter the weight tables as values, never substituted.  Weights,
     elements and values are factored fractions over the process-wide atom
     table, so additions and products align exponents instead of running
     polynomial gcds, and a value means the same in every later call.
     """
     nsites = spec.min_sites(lam)
     steps = spec.steps
-    scan = encode = None
-
-    def elem(prev, mu, k):
-        nonlocal scan, encode
-        if scan is None:
-            scan = row_scanner(spec, [_X0] * nsites)
-            # a shape is asked for at every step into and out of it
-            encode = cache(lambda p: spec.encode(p, nsites))
-        bottom, top = (mu, prev) if spec.dual else (prev, mu)
-        return scan(encode(bottom), encode(top)).rename_vars({"x0": variables[k - 1]})
-
     base = (spec, inner, nsites)
-    prefixes = [tuple(variables[:k]) for k in range(len(variables) + 1)]
-    memo: dict = {}
-
-    def value(mu, k):
-        if k == 0:
-            return ONE if mu == inner else ZERO
-        got = memo.get((mu, k))
-        if got is not None:
-            return got
-        key = (base, mu, prefixes[k])
-        got = _memo_get(key)
-        if got is None:
-            got = ZERO
-            for prev in steps(mu):
-                below = value(prev, k - 1)
-                if below.is_zero():
-                    continue
-                e = elem(prev, mu, k)
-                if e.is_zero():
-                    continue
-                got = got + below * e
-            _memo_put(key, got)
-        memo[(mu, k)] = got
-        return got
-
     n = len(variables)
-    try:
-        top = value(lam, n)
-    finally:
-        del value  # value refers to itself: break the cycle now, not at a GC pass
-    rf = top.to_rf()
+    prefixes = [tuple(variables[:k]) for k in range(n + 1)]
+    values: dict = {}  # (mu, k) -> the value of mu at level k, a hit or a sum
+    misses = []  # (mu, k, the steps into mu), level by level from n down
+    shapes = {lam: None}  # the shapes level k needs, in the order first needed
+    for k in range(n, 0, -1):
+        needed: dict = {}
+        for mu in shapes:
+            got = _memo_get((base, mu, prefixes[k]))
+            if got is None:
+                prevs = list(steps(mu))  # read here and again on the way up
+                misses.append((mu, k, prevs))
+                needed.update(dict.fromkeys(prevs))
+            else:
+                values[mu, k] = got
+        shapes = needed
+    for mu in shapes:
+        values[mu, 0] = ONE if mu == inner else ZERO
+    if misses:
+        scan = row_scanner(spec, [_X0] * nsites)
+        # a shape is asked for at every step into and out of it
+        encode = cache(lambda p: spec.encode(p, nsites))
+    # reversed, every level is summed after the level below it
+    for mu, k, prevs in reversed(misses):
+        got = ZERO
+        for prev in prevs:
+            below = values[prev, k - 1]
+            if below.is_zero():
+                continue
+            bottom, top = (mu, prev) if spec.dual else (prev, mu)
+            e = scan(encode(bottom), encode(top)).rename_vars({"x0": variables[k - 1]})
+            if e.is_zero():
+                continue
+            got = got + below * e
+        _memo_put((base, mu, prefixes[k]), got)
+        values[mu, k] = got
+    value = values[lam, n]
+    rf = value.to_rf()
     if n:
         # a hit too: this charges the cached to_rf and applies the current budget
-        _memo_put((base, lam, prefixes[n]), top)
+        _memo_put((base, lam, prefixes[n]), value)
     return rf
 
 

@@ -1,9 +1,10 @@
 """The process-wide chain memo of transfer._chain_sum: a value served from
-the memo equals the value computed without it, the term budget holds after
-every insertion with least-recently-used eviction, a repeated request does
-no chain arithmetic and prints the bytes its first answer printed, and a
-chain sum leaves no reference cycles behind, nor do the oracle and the
-verification checks."""
+the memo equals the value computed without it, a cold request looks up
+each shape of its chains once, the term budget holds after every insertion
+with least-recently-used eviction, a repeated request does no chain
+arithmetic and prints the bytes its first answer printed, and a chain sum
+leaves no reference cycles behind, nor do the oracle and the verification
+checks."""
 
 import contextlib
 import gc
@@ -19,8 +20,13 @@ from grothpoly import factored, identities, oracles, transfer
 from grothpoly.algebra import MultiPoly, as_rf, rf_to_json_text
 from grothpoly.cli import _HOMOGENEOUS, main
 from grothpoly.factored import FFrac
-from grothpoly.models import RMatrixFamily
-from grothpoly.partitions import enumerate_partitions
+from grothpoly.models import RMatrixFamily, WeightModel
+from grothpoly.partitions import (
+    enumerate_partitions,
+    horizontal_strip_subs,
+    subpartitions,
+    vertical_strip_subs,
+)
 from grothpoly.transfer import (
     chain_memo_stats,
     clear_chain_memo,
@@ -220,6 +226,43 @@ def test_repeated_request_is_a_top_level_hit(monkeypatch, compute):
     after = chain_memo_stats()
     assert after["hits"] == before["hits"] + 1
     assert after["misses"] == before["misses"]
+
+
+# the steps of each tile set's chains, from partitions alone
+STEPS = {
+    WeightModel.ROW_G: horizontal_strip_subs,
+    WeightModel.ROW_G_DUAL: horizontal_strip_subs,
+    WeightModel.COL_G: horizontal_strip_subs,
+    WeightModel.ROW_DUAL_G: subpartitions,
+    WeightModel.COL_DUAL_G: subpartitions,
+    WeightModel.J_ROW: vertical_strip_subs,
+    WeightModel.J_ROW_DUAL: vertical_strip_subs,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(list(WeightModel)),
+    lam=st.sampled_from(SHAPES),
+    n=st.integers(min_value=1, max_value=3),
+)
+def test_cold_request_looks_up_each_chain_shape_once(model, lam, n):
+    # the distinct (mu, k), 1 <= k <= n, on a chain into (lam, n)
+    reachable, level = 0, {lam}
+    for _ in range(n):
+        reachable += len(level)
+        level = {prev for mu in level for prev in STEPS[model](mu)}
+    spec = transfer.TransferSpec(model)
+    variables = [f"x{i}" for i in range(1, n + 1)]
+    with mock.patch.object(transfer, "CHAIN_MEMO_TERMS", 10**9):
+        clear_chain_memo()
+        first = transfer._chain_sum(spec, lam, variables)
+        stats = chain_memo_stats()
+        assert (stats["hits"], stats["misses"], stats["evictions"]) == (0, reachable, 0)
+        assert transfer._chain_sum(spec, lam, variables) == first
+        stats = chain_memo_stats()
+        assert (stats["hits"], stats["misses"]) == (1, reachable)
+    clear_chain_memo()
 
 
 def test_smaller_request_reuses_a_larger_one():

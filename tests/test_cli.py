@@ -9,6 +9,7 @@ import pytest
 
 from grothpoly.algebra import as_rf, rf_from_json
 from grothpoly.cli import main
+from grothpoly.identities import SUITES
 from grothpoly.transfer import groth_poly
 
 
@@ -313,6 +314,17 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("suite", ["", "rll,"])
+    def test_empty_suite_name_exits_two_with_one_error_line(self, suite):
+        proc = self.run_module("verify", "--suite", suite)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: unknown suite ''; choose from " + ", ".join(SUITES) + "\n"
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        proc = self.run_module("compute", "--kind", "G", "--lambda", "", "--nvars", "1000", "--format", "plain")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
 
     def test_exponent_overflow_exits_two_with_one_error_line(self):
         # G_(40000) in one variable has x1**40000, past the largest stored exponent

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from grothpoly.algebra import (
@@ -359,3 +363,22 @@ class TestReservedPlaceholder:
         for lam in ((1,), (2, 1)):
             expected = groth_poly(lam, 2).rename_vars(mapping)
             assert groth_poly(lam, 2, variables=["x0", "x1"]) == expected
+
+
+def test_chains_deeper_than_the_recursion_limit():
+    # a fresh interpreter: the variable table is process-wide and never
+    # shrinks, and a thousand new variable names would widen every later key
+    script = (
+        "from grothpoly.algebra import MultiPoly, as_rf\n"
+        "from grothpoly.transfer import dual_groth_poly, groth_poly, j_poly\n"
+        "assert groth_poly((), 3000) == as_rf(1)\n"
+        "total = sum((MultiPoly.var(f'x{i}') for i in range(1, 1101)), MultiPoly())\n"
+        "assert dual_groth_poly((1,), 1100) == total\n"
+        "assert j_poly((1,), 1100) == total\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert out.returncode == 0, out.stderr
